@@ -129,8 +129,6 @@ class Tensor:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return self.__add__(-other)
         return self.__add__(-other)
 
     def __rsub__(self, other):

@@ -89,8 +89,6 @@ def cmd_build_vocab(corpora, out):
 @click.option("--vocab", "vocab_path", required=True, type=click.Path(exists=True))
 @click.option("--out", required=True, type=click.Path(), help="Best-dev checkpoint to write.")
 @click.option("--metrics-log", type=click.Path(), help="Append JSONL metrics records here.")
-@click.option("--final-checkpoint", type=click.Path(),
-              help="Also write the final parameters with optimizer state for resumption.")
 @click.option("--epochs", default=10, show_default=True)
 @click.option("--batch-size", default=64, show_default=True)
 @click.option("--lr", default=2e-5, show_default=True)
@@ -99,7 +97,7 @@ def cmd_build_vocab(corpora, out):
 @click.option("--eval-every", default=1, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @add_options(model_options)
-def cmd_train(corpora, dev_corpora, vocab_path, out, metrics_log, final_checkpoint,
+def cmd_train(corpora, dev_corpora, vocab_path, out, metrics_log,
               epochs, batch_size, lr, warmup_ratio, weight_decay, eval_every, seed,
               d_h, d_e, layers, heads, d_ff, max_len, dropout, no_bigram):
     """Train the unified model on one or more criteria."""
@@ -128,10 +126,6 @@ def cmd_train(corpora, dev_corpora, vocab_path, out, metrics_log, final_checkpoi
     best = Model(config, model.n_unigrams, model.n_bigrams,
                  params={k: Tensor(v, requires_grad=True) for k, v in result.best_params.items()})
     ckpt.save_checkpoint(out, best, vocab.sha256(), extra={"epochs": epochs, "seed": seed})
-    if final_checkpoint:
-        ckpt.save_checkpoint(final_checkpoint, model, vocab.sha256(),
-                             optimizer_arrays=result.optimizer_arrays,
-                             extra={"epochs": epochs, "seed": seed, "steps": result.steps})
     if metrics_log:
         with open(metrics_log, "a", encoding="utf-8") as fh:
             for rec in result.metrics:
@@ -181,10 +175,7 @@ def cmd_segment(checkpoint_path, vocab_path, criterion, input_path, output_path)
 @click.option("--report", "report_path", type=click.Path(),
               help="Also write JSONL records here.")
 @click.option("--batch-size", default=64, show_default=True)
-@click.option("--oracle-segmenter", is_flag=True, hidden=True,
-              help="Test hook: score gold against itself.")
-def cmd_evaluate(checkpoint_path, vocab_path, gold_corpora, report_path, batch_size,
-                 oracle_segmenter):
+def cmd_evaluate(checkpoint_path, vocab_path, gold_corpora, report_path, batch_size):
     """Score the model against gold files; prints per-criterion rows plus an
     arithmetic-mean row when several criteria are given."""
     vocab = cp.Vocab.load(vocab_path)
@@ -194,15 +185,12 @@ def cmd_evaluate(checkpoint_path, vocab_path, gold_corpora, report_path, batch_s
         sentences = tr.prepare_for_eval(raws, vocab, model.config.max_len)
         tokens = [s.tokens for s in sentences]
         gold = [s.gold_spans for s in sentences]
-        if oracle_segmenter:
-            pred = gold
-        else:
-            preds = model.predict_label_ids(sentences, vocab, batch_size=batch_size)
-            pred = [cp.decode_bmes(p.tolist()) for p in preds]
+        preds = model.predict_label_ids(sentences, vocab, batch_size=batch_size)
+        pred = [cp.decode_bmes(p.tolist()) for p in preds]
         reports.append(mt.evaluate_criterion(tokens, gold, pred, vocab.lexicon(name), name))
     click.echo(mt.report_table(reports), nl=False)
     if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
+        with cp.atomic_open(report_path, "w", encoding="utf-8") as fh:
             fh.write(mt.report_jsonl(reports))
 
 

@@ -1,5 +1,5 @@
-"""Corpus handling: text normalization, BMES label codec, vocabularies and
-criterion-augmented model inputs.
+"""Corpus handling: text normalization, BMES label codec, vocabularies,
+model inputs and atomic file writes.
 
 Corpora are whitespace-segmented UTF-8 files, one sentence per line. A
 sentence is preprocessed into a flat token sequence (one token per CJK
@@ -7,7 +7,9 @@ character, with Latin/digit runs collapsed to ``<eng>``/``<num>``) plus gold
 word spans in token coordinates.
 """
 
+import contextlib
 import hashlib
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -69,11 +71,6 @@ def word_tokens(word: str) -> list[str]:
     return replace_runs(normalize_width(word))
 
 
-def word_surface(word: str) -> str:
-    """Canonical word surface used for lexicon membership (OOV accounting)."""
-    return "".join(word_tokens(word))
-
-
 def encode_bmes(spans: list[tuple[int, int]], length: int) -> list[int]:
     """Encode a span partition of [0, length) as per-character BMES ids.
 
@@ -133,10 +130,6 @@ def decode_bmes(labels) -> list[tuple[int, int]]:
     return spans
 
 
-def labels_to_str(labels: list[int]) -> str:
-    return "".join(LABELS[y] for y in labels)
-
-
 @dataclass
 class RawSentence:
     """A gold-segmented sentence straight from a corpus file."""
@@ -160,6 +153,21 @@ class Sentence:
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str, **kwargs):
+    """Open a temporary file beside path for writing; it replaces path only
+    when the block exits cleanly, so a failed write leaves the old file."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_corpus(path, criterion_id: int = 0) -> list[RawSentence]:
@@ -317,7 +325,7 @@ class Vocab:
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(self.to_text())
 
     @classmethod
@@ -403,8 +411,3 @@ def prepare_sentence(raw: RawSentence, vocab: Vocab) -> Sentence:
         criterion_id=raw.criterion_id,
         gold_spans=spans,
     )
-
-
-def augment(sentence: Sentence, vocab: Vocab) -> list[int]:
-    """Prepend the criterion token id to the sentence's character ids."""
-    return [vocab.criterion_token_id(sentence.criterion_id)] + list(sentence.chars)

@@ -37,7 +37,6 @@ class ModelConfig:
     d_ff: int = 256
     max_len: int = 128
     dropout_p: float = 0.1
-    label_count: int = 4
     use_bigram: bool = True
 
     def __post_init__(self):
@@ -54,7 +53,24 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+        """Rebuild a config read from a checkpoint header; anything that is
+        not a valid config is a DataError. Headers written before the label
+        alphabet was fixed carry label_count, which must be 4 (BMES)."""
+        d = dict(d)
+        if d.pop("label_count", len(cp.LABELS)) != len(cp.LABELS):
+            raise DataError(f"label_count must be {len(cp.LABELS)} (BMES)")
+        kinds = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(d) - set(kinds))
+        if unknown:
+            raise DataError(f"unknown model config keys {unknown}")
+        mistyped = sorted(k for k, v in d.items()
+                          if type(v) is not kinds[k] and not (kinds[k] is float and type(v) is int))
+        if mistyped:
+            raise DataError(f"model config keys of the wrong type: {mistyped}")
+        try:
+            return cls(**d)
+        except (TypeError, ConfigError) as exc:
+            raise DataError(f"invalid model config: {exc}") from exc
 
 
 @dataclass
@@ -64,7 +80,7 @@ class ForwardOutput:
     hidden: Tensor          # [B, L+1, d_h]
     fused: Tensor           # [B, L, d_h]
     contextual: Tensor      # [B, L, d_h]
-    label_logits: Tensor    # [B, L, label_count]
+    label_logits: Tensor    # [B, L, len(LABELS)]
     criterion_logits: Tensor  # [B, num_criteria]
     gate_means: np.ndarray  # [B, L], mean gate activation per position
     attn: dict = field(default_factory=dict)  # optional attention probs
@@ -104,8 +120,8 @@ def param_shapes(config: ModelConfig, n_unigrams: int, n_bigrams: int) -> dict[s
     attn_block("ctx.attn")
     shapes["ctx.ln.gain"] = (d_h,)
     shapes["ctx.ln.bias"] = (d_h,)
-    shapes["dec.w_o"] = (config.label_count, d_h)
-    shapes["dec.b_o"] = (config.label_count,)
+    shapes["dec.w_o"] = (len(cp.LABELS), d_h)
+    shapes["dec.b_o"] = (len(cp.LABELS),)
     shapes["cls.w_c"] = (config.num_criteria, d_h)
     shapes["cls.b_c"] = (config.num_criteria,)
     return shapes
@@ -209,12 +225,6 @@ class Model:
                            p[f"enc{i}.ln2.gain"], p[f"enc{i}.ln2.bias"])
         return h
 
-    def encode(self, augmented_ids, training: bool = False, rng=None) -> Tensor:
-        """Single-sentence convenience: ids length T+1 -> H [T+1, d_h]."""
-        ids = np.asarray(augmented_ids, dtype=np.int64)[None, :]
-        valid = np.ones_like(ids, dtype=bool)
-        return self.encode_batch(ids, valid, training=training, rng=rng)[0]
-
     # -- fusion gate -------------------------------------------------------------
 
     def fuse_batch(self, h: Tensor, e: Tensor | None) -> tuple[Tensor, Tensor | None]:
@@ -234,9 +244,6 @@ class Model:
         fused = gate * h_proj + (1.0 - gate) * e_proj
         return fused, gate
 
-    def fuse(self, h: Tensor, e: Tensor | None) -> tuple[Tensor, Tensor | None]:
-        return self.fuse_batch(h, e)
-
     # -- contextualizer -------------------------------------------------------------
 
     def contextualize_batch(self, fused: Tensor, key_valid: np.ndarray,
@@ -251,11 +258,6 @@ class Model:
         return layer_norm(fused + self._drop(a, training, rng),
                           p["ctx.ln.gain"], p["ctx.ln.bias"])
 
-    def contextualize(self, fused: Tensor, training: bool = False, rng=None) -> Tensor:
-        t = fused.reshape(1, *fused.shape)
-        valid = np.ones((1, fused.shape[0]), dtype=bool)
-        return self.contextualize_batch(t, valid, training=training, rng=rng)[0]
-
     # -- decoders ----------------------------------------------------------------------
 
     def decode_labels(self, contextual: Tensor) -> Tensor:
@@ -264,8 +266,6 @@ class Model:
 
     def classify_criterion(self, hidden: Tensor) -> Tensor:
         """Criterion logits from the criterion-token row (row 0) only."""
-        if hidden.ndim == 2:  # single sentence [T+1, d_h]
-            return _linear(hidden[0:1, :], self.params["cls.w_c"], self.params["cls.b_c"])[0]
         h0 = hidden[:, 0, :]
         return _linear(h0, self.params["cls.w_c"], self.params["cls.b_c"])
 
@@ -296,24 +296,6 @@ class Model:
                              label_logits=label_logits, criterion_logits=criterion_logits,
                              gate_means=gate_means, attn=attn_out or {})
 
-    def forward(self, augmented_ids, bigram_ids=None, training: bool = False,
-                rng=None, collect_attn: bool = False) -> ForwardOutput:
-        """Single-sentence forward; squeezes the batch dim off every output."""
-        ids = np.asarray(augmented_ids, dtype=np.int64)[None, :]
-        T = ids.shape[1] - 1
-        bi = np.asarray(bigram_ids, dtype=np.int64)[None, :] if bigram_ids is not None else None
-        out = self.forward_batch(ids, bi, np.array([T]), training=training,
-                                 rng=rng, collect_attn=collect_attn)
-        return ForwardOutput(
-            hidden=out.hidden[0],
-            fused=out.fused[0],
-            contextual=out.contextual[0],
-            label_logits=out.label_logits[0],
-            criterion_logits=out.criterion_logits[0],
-            gate_means=out.gate_means[0],
-            attn=out.attn,
-        )
-
     # -- loss --------------------------------------------------------------------------------
 
     def loss_batch(self, ids, bigram_ids, lengths, labels, criterion_ids,
@@ -326,7 +308,7 @@ class Model:
         out = self.forward_batch(ids, bigram_ids, lengths, training=training, rng=rng)
         L = L1 - 1
         mask = (np.arange(L)[None, :] < lengths[:, None]).ravel()
-        flat_logits = out.label_logits.reshape(B * L, self.config.label_count)
+        flat_logits = out.label_logits.reshape(B * L, len(cp.LABELS))
         label_nll = cross_entropy(flat_logits, np.asarray(labels).ravel(), mask=mask, reduction="sum")
         crit_nll = cross_entropy(out.criterion_logits, criterion_ids, reduction="sum")
         return (label_nll + crit_nll) * (1.0 / B), out
@@ -351,11 +333,14 @@ class Model:
         """Segment raw text under the named criterion.
 
         Latin/digit runs are re-emitted verbatim from the original text.
+        Whitespace never occurs inside a training sentence, so it is dropped
+        before the forward pass and always ends a word.
         """
         if criterion_name not in vocab.criteria:
             raise ConfigError(
                 f"unknown criterion {criterion_name!r}; registered: {sorted(vocab.criteria)}")
-        toks_spans = cp.replace_runs_with_spans(cp.normalize_width(text))
+        toks_spans = [(t, span) for t, span in cp.replace_runs_with_spans(cp.normalize_width(text))
+                      if not t.isspace()]
         if not toks_spans:
             return []
         tokens = [t for t, _ in toks_spans]
@@ -364,15 +349,16 @@ class Model:
                 f"sentence of {len(tokens)} tokens exceeds max_len {self.config.max_len}")
         cid = vocab.criteria[criterion_name]
         aug = [vocab.criterion_token_id(cid)] + [vocab.uni_id(t) for t in tokens]
-        bi = cp.make_bigrams(tokens, vocab)
+        ids = np.array([aug], dtype=np.int64)
+        bi = np.array([cp.make_bigrams(tokens, vocab)], dtype=np.int64)
         with no_grad():
-            out = self.forward(aug, bi)
-        labels = np.argmax(out.label_logits.data, axis=-1)
+            out = self.forward_batch(ids, bi, np.array([len(tokens)]))
+        labels = np.argmax(out.label_logits.data[0], axis=-1)
         words = []
         for s, e in cp.decode_bmes(labels.tolist()):
             lo = toks_spans[s][1][0]
             hi = toks_spans[e - 1][1][1]
-            words.append(text[lo:hi])
+            words.extend(text[lo:hi].split())  # the gaps between kept tokens are whitespace
         return words
 
 

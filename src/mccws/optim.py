@@ -5,12 +5,12 @@ import math
 
 import numpy as np
 
-from .autodiff import Tensor, get_dtype
+from .autodiff import Tensor
 
 
 class WarmupLinearSchedule:
     """Learning rate ramps linearly 0 -> base_lr over the first
-    ceil(warmup_ratio * total_steps) steps, then decays linearly to 0 at
+    ceil(warmup_ratio * total_steps) steps, then falls linearly to 0 at
     total_steps."""
 
     def __init__(self, base_lr: float, total_steps: int, warmup_ratio: float = 0.1):
@@ -75,22 +75,3 @@ class AdamW:
             if self.weight_decay and p.data.ndim >= 2:
                 update = update + self.weight_decay * p.data
             p.data -= lr * update
-
-    def decays(self, name: str) -> bool:
-        return bool(self.weight_decay) and self.params[name].data.ndim >= 2
-
-    # -- serialization for exact training resumption ---------------------------
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name in self.params:
-            out[f"adamw.m.{name}"] = self.m[name]
-            out[f"adamw.v.{name}"] = self.v[name]
-        out["adamw.step"] = np.asarray([self.step_count], dtype=np.float64)
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name in self.params:
-            self.m[name] = np.asarray(arrays[f"adamw.m.{name}"], dtype=get_dtype())
-            self.v[name] = np.asarray(arrays[f"adamw.v.{name}"], dtype=get_dtype())
-        self.step_count = int(arrays["adamw.step"][0])

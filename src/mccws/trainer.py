@@ -22,9 +22,6 @@ class TrainConfig:
     lr: float = 1e-3
     warmup_ratio: float = 0.1
     weight_decay: float = 0.01
-    # single-threaded seeded execution; kept explicit because the
-    # determinism acceptance checks depend on it
-    strict_determinism: bool = True
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -41,8 +38,6 @@ class TrainResult:
     best_params: dict[str, np.ndarray]
     best_f1: float
     metrics: list[dict] = field(default_factory=list)
-    steps: int = 0
-    optimizer_arrays: dict = field(default_factory=dict, repr=False)
 
 
 METRIC_FIELDS = ("epoch", "split", "criterion", "precision", "recall", "f1",
@@ -190,5 +185,4 @@ def train(model: Model, vocab: cp.Vocab, train_sentences: list[cp.Sentence],
         best_params = {name: p.data.copy() for name, p in model.params.items()}
         best_f1 = 0.0
     return TrainResult(model=model, best_params=best_params, best_f1=best_f1,
-                       metrics=metrics, steps=step,
-                       optimizer_arrays=optimizer.state_arrays())
+                       metrics=metrics)

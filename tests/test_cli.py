@@ -1,10 +1,16 @@
+import builtins
 import json
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from mccws.corpus import Vocab
+from mccws import cli
+from mccws.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from mccws.corpus import RawSentence, Vocab
+from mccws.errors import DataError
 
 CLI = [sys.executable, "-m", "mccws.cli"]
 
@@ -156,14 +162,6 @@ def test_segment_vocab_mismatch_refused(trained, tmp_path):
 
 # -- evaluate -----------------------------------------------------------------------
 
-def test_evaluate_oracle_hook(trained):
-    d = trained
-    proc = run_cli("evaluate", "--checkpoint", str(d / "model.ckpt"),
-                   "--vocab", str(d / "vocab.txt"),
-                   "--gold", f"ctb={d / 'ctb.txt'}", "--oracle-segmenter")
-    assert "1.0000" in proc.stdout
-
-
 def test_evaluate_two_criteria_with_avg(trained, tmp_path):
     d = trained
     report = tmp_path / "report.jsonl"
@@ -174,6 +172,7 @@ def test_evaluate_two_criteria_with_avg(trained, tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["criterion", "precision", "recall", "f1", "oov_recall", "oov_total"]
     assert any(line.startswith("avg") for line in lines)
+    assert "1.0000" in proc.stdout
     records = [json.loads(line) for line in report.read_text().splitlines()]
     assert [r["criterion"] for r in records] == ["ctb", "pku"]
     for r in records:
@@ -189,6 +188,134 @@ def test_evaluate_overlong_line_is_data_error(trained, tmp_path):
                    "--vocab", str(d / "vocab.txt"),
                    "--gold", f"ctb={tmp_path / 'long.txt'}", expect=3)
     assert "lines" in proc.stderr
+
+
+# -- checkpoint files ----------------------------------------------------------------
+
+def edit_header(blob: bytes, edit) -> bytes:
+    """Rewrite the JSON header of checkpoint bytes through edit(header)."""
+    start = len(MAGIC) + 8
+    n = int.from_bytes(blob[len(MAGIC):start], "little")
+    header = json.loads(blob[start:start + n])
+    edit(header)
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    return MAGIC + len(new).to_bytes(8, "little") + new + blob[start + n:]
+
+
+def set_byte(blob: bytes, offset: int, value: int) -> bytes:
+    return blob[:offset] + bytes([value]) + blob[offset + 1:]
+
+
+HEADER = len(MAGIC) + 8
+CORRUPTIONS = {
+    "header_byte": lambda b: set_byte(b, HEADER, ord("!")),
+    "header_utf8": lambda b: set_byte(b, HEADER + 1, 0xFF),
+    "header_length": lambda b: b[:len(MAGIC)] + (10 ** 12).to_bytes(8, "little") + b[HEADER:],
+    "unknown_config_key": lambda b: edit_header(b, lambda h: h["config"].update(bogus=1)),
+    "missing_config_field": lambda b: edit_header(b, lambda h: h["config"].pop("num_criteria")),
+    "float_config_int": lambda b: edit_header(b, lambda h: h["config"].update(heads=2.0)),
+    "missing_arrays": lambda b: edit_header(b, lambda h: h.pop("arrays")),
+    "bad_shape": lambda b: edit_header(b, lambda h: h["arrays"][0].update(shape=[-1])),
+    "truncated": lambda b: b[:-8],
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_corrupt_checkpoint_is_data_error(trained, tmp_path, corruption):
+    d = trained
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(CORRUPTIONS[corruption]((d / "model.ckpt").read_bytes()))
+    with pytest.raises(DataError):
+        load_checkpoint(bad, Vocab.load(d / "vocab.txt"))
+
+
+def test_segment_corrupt_checkpoint_exits_data(trained, tmp_path):
+    d = trained
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(CORRUPTIONS["header_byte"]((d / "model.ckpt").read_bytes()))
+    (tmp_path / "in.txt").write_text("李娜\n", encoding="utf-8")
+    proc = run_cli("segment", "--checkpoint", str(bad), "--vocab", str(d / "vocab.txt"),
+                   "--criterion", "ctb", "--input", str(tmp_path / "in.txt"), expect=3)
+    assert "Traceback" not in proc.stderr
+
+
+def test_legacy_checkpoint_loads(trained, tmp_path):
+    # files written with label_count and AdamW state in their header
+    d = trained
+    vocab = Vocab.load(d / "vocab.txt")
+    model, _, _ = load_checkpoint(d / "model.ckpt", vocab)
+    blob = (d / "model.ckpt").read_bytes()
+    opt = {"adamw.m.tok_emb": np.full((2, 3), 0.5), "adamw.step": np.array([7.0])}
+
+    def legacy(label_count):
+        def edit(header):
+            header["config"]["label_count"] = label_count
+            header["arrays"] += [{"name": k, "shape": list(v.shape), "dtype": "<f8"}
+                                 for k, v in opt.items()]
+            header["optimizer_arrays"] = list(opt)
+        return edit_header(blob, edit) + b"".join(v.astype("<f8").tobytes() for v in opt.values())
+
+    old = tmp_path / "legacy.ckpt"
+    old.write_bytes(legacy(4))
+    loaded, opt_arrays, _ = load_checkpoint(old, vocab)
+    assert loaded.config == model.config
+    for name, p in model.params.items():
+        assert np.array_equal(loaded.params[name].data, p.data), name
+    assert {k: v.tolist() for k, v in opt_arrays.items()} == {k: v.tolist() for k, v in opt.items()}
+    (tmp_path / "in.txt").write_text("李娜进入半决赛\n", encoding="utf-8")
+    outputs = [run_cli("segment", "--checkpoint", str(path), "--vocab", str(d / "vocab.txt"),
+                       "--criterion", "pku", "--input", str(tmp_path / "in.txt")).stdout
+               for path in (d / "model.ckpt", old)]
+    assert outputs[0] == outputs[1] == "李 娜 进入 半 决赛\n"
+
+    (tmp_path / "legacy5.ckpt").write_bytes(legacy(5))
+    with pytest.raises(DataError, match="label_count"):
+        load_checkpoint(tmp_path / "legacy5.ckpt", vocab)
+
+
+
+class FailMidway:
+    """A write handle that stores half of its first write, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("target", ["checkpoint", "vocab", "report"])
+def test_failed_write_keeps_previous_file(trained, tmp_path, monkeypatch, target):
+    d = trained
+    model, _, _ = load_checkpoint(d / "model.ckpt", Vocab.load(d / "vocab.txt"))
+    path = tmp_path / target
+    path.write_bytes(b"previous contents\n")
+    writers = {
+        "checkpoint": lambda: save_checkpoint(path, model, "0" * 64),
+        "vocab": lambda: Vocab.build({"x": [RawSentence(["进入"], 0)]}).save(path),
+        "report": lambda: cli.cli.main(
+            ["evaluate", "--checkpoint", str(d / "model.ckpt"), "--vocab", str(d / "vocab.txt"),
+             "--gold", f"ctb={d / 'ctb.txt'}", "--report", str(path)], standalone_mode=False),
+    }
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return FailMidway(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    with pytest.raises(OSError, match="disk full"):
+        writers[target]()
+    monkeypatch.undo()
+    assert path.read_bytes() == b"previous contents\n"
+    assert os.listdir(tmp_path) == [target]
 
 
 # -- synth ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ import pytest
 
 from mccws import corpus
 from mccws.corpus import (
-    BOS, ENG, NUM, RawSentence, Vocab, augment, decode_bmes, encode_bmes,
-    labels_to_str, load_corpus, make_bigrams, normalize_width, prepare_sentence,
+    BOS, ENG, LABELS, NUM, RawSentence, Vocab, decode_bmes, encode_bmes,
+    load_corpus, make_bigrams, normalize_width, prepare_sentence,
     replace_runs, replace_runs_with_spans, split_long,
 )
 from mccws.errors import ConfigError, DataError
+from mccws.model import pack_batch
 
 
 def random_partition(rng, length):
@@ -74,18 +75,22 @@ def test_replace_runs_spans_cover_input():
 
 # -- BMES codec ---------------------------------------------------------------
 
+def bmes_str(labels: list[int]) -> str:
+    return "".join(LABELS[y] for y in labels)
+
+
 def test_encode_ctb_row():
     labels = encode_bmes([(0, 2), (2, 4), (4, 7)], 7)
-    assert labels_to_str(labels) == "BEBEBME"
+    assert bmes_str(labels) == "BEBEBME"
 
 
 def test_encode_singleton():
-    assert labels_to_str(encode_bmes([(0, 1)], 1)) == "S"
+    assert bmes_str(encode_bmes([(0, 1)], 1)) == "S"
 
 
 def test_encode_pku_row():
     labels = encode_bmes([(0, 1), (1, 2), (2, 4), (4, 5), (5, 7)], 7)
-    assert labels_to_str(labels) == "SSBESBE"
+    assert bmes_str(labels) == "SSBESBE"
 
 
 def test_encode_rejects_non_partition():
@@ -133,7 +138,7 @@ def test_decode_total_exhaustive_to_len8():
     assert decode_bmes([]) == []
 
 
-# -- vocab, augment, bigrams ---------------------------------------------------
+# -- vocab, criterion token, bigrams ------------------------------------------
 
 @pytest.fixture
 def vocab():
@@ -158,13 +163,13 @@ def test_vocab_reserved_and_criteria(vocab):
 
 def test_augment_prepends_criterion_token(vocab):
     sent = prepare_sentence(RawSentence(["李娜"], 1), vocab)
-    ids = augment(sent, vocab)
-    assert ids == [vocab.unigrams["<pku>"], vocab.unigrams["李"], vocab.unigrams["娜"]]
+    ids = pack_batch([sent], vocab)[0]
+    assert ids[0].tolist() == [vocab.unigrams["<pku>"], vocab.unigrams["李"], vocab.unigrams["娜"]]
 
 
 def test_augment_empty_sentence(vocab):
     sent = corpus.Sentence(tokens=[], chars=[], bigrams=[], criterion_id=0, gold_spans=[])
-    assert augment(sent, vocab) == [vocab.unigrams["<ctb>"]]
+    assert pack_batch([sent], vocab)[0][0].tolist() == [vocab.unigrams["<ctb>"]]
 
 
 def test_augment_length_property(vocab):
@@ -175,7 +180,7 @@ def test_augment_length_property(vocab):
         words = ["".join(rng.choice(chars) for _ in range(rng.randint(1, 3))) for _ in range(n)] or ["李"]
         cid = rng.randint(0, 1)
         sent = prepare_sentence(RawSentence(words, cid), vocab)
-        ids = augment(sent, vocab)
+        ids = pack_batch([sent], vocab)[0][0]
         assert len(ids) == len(sent) + 1
         assert ids[0] == vocab.criterion_token_id(cid)
 
@@ -183,7 +188,7 @@ def test_augment_length_property(vocab):
 def test_augment_unknown_criterion(vocab):
     sent = prepare_sentence(RawSentence(["李娜"], 5), vocab)
     with pytest.raises(ConfigError):
-        augment(sent, vocab)
+        pack_batch([sent], vocab)
 
 
 def test_make_bigrams(vocab):

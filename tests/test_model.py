@@ -27,8 +27,22 @@ def tiny_model(vocab, **overrides) -> Model:
 
 
 def sentence_inputs(vocab, words, cid):
+    """One sentence as a batch of one: ids [1, T+1], bigrams [1, T], lengths [1]."""
     sent = prepare_sentence(RawSentence(words, cid), vocab)
-    return cp.augment(sent, vocab), sent.bigrams, sent
+    ids, bi, lengths, _, _ = pack_batch([sent], vocab)
+    return ids, bi, lengths
+
+
+def encode_one(m, ids, **kw):
+    """Encoder over a batch of one unpadded sentence; returns H [T+1, d_h]."""
+    ids = np.asarray(ids).reshape(1, -1)
+    return m.encode_batch(ids, np.ones(ids.shape, dtype=bool), **kw)[0]
+
+
+def contextualize_one(m, fused):
+    """Contextualizer over a batch of one unpadded sequence [T, d_h]."""
+    T = fused.shape[0]
+    return m.contextualize_batch(fused.reshape(1, T, -1), np.ones((1, T), dtype=bool))[0]
 
 
 # -- config ------------------------------------------------------------------
@@ -46,39 +60,39 @@ def test_config_validation():
 
 def test_encode_shape(vocab):
     m = tiny_model(vocab)
-    aug, _, _ = sentence_inputs(vocab, ["李娜", "进入", "半决赛"], 0)
-    assert len(aug) == 8
-    H = m.encode(aug)
+    ids, _, _ = sentence_inputs(vocab, ["李娜", "进入", "半决赛"], 0)
+    assert ids.shape == (1, 8)
+    H = encode_one(m, ids)
     assert H.shape == (8, 16)
 
 
 def test_encode_criterion_token_changes_h(vocab):
     m = tiny_model(vocab)
-    aug_ctb, _, _ = sentence_inputs(vocab, ["李娜"], 0)
-    aug_pku, _, _ = sentence_inputs(vocab, ["李娜"], 1)
-    h1 = m.encode(aug_ctb).data
-    h2 = m.encode(aug_pku).data
+    ids_ctb, _, _ = sentence_inputs(vocab, ["李娜"], 0)
+    ids_pku, _, _ = sentence_inputs(vocab, ["李娜"], 1)
+    h1 = encode_one(m, ids_ctb).data
+    h2 = encode_one(m, ids_pku).data
     assert h1.shape == h2.shape
     assert np.abs(h1 - h2).max() > 0
 
 
 def test_encode_eval_deterministic(vocab):
     m = tiny_model(vocab)
-    aug, _, _ = sentence_inputs(vocab, ["进入"], 1)
-    assert m.encode(aug).data.tobytes() == m.encode(aug).data.tobytes()
+    ids, _, _ = sentence_inputs(vocab, ["进入"], 1)
+    assert encode_one(m, ids).data.tobytes() == encode_one(m, ids).data.tobytes()
 
 
 def test_encode_too_long(vocab):
     m = tiny_model(vocab, max_len=4)
     with pytest.raises(DataError):
-        m.encode([0, 1, 2, 3, 4])
+        encode_one(m, [0, 1, 2, 3, 4])
 
 
 def test_encode_training_dropout_differs_from_eval(vocab):
     m = tiny_model(vocab)
-    aug, _, _ = sentence_inputs(vocab, ["半决赛"], 0)
-    h_eval = m.encode(aug).data
-    h_train = m.encode(aug, training=True, rng=make_rng(3)).data
+    ids, _, _ = sentence_inputs(vocab, ["半决赛"], 0)
+    h_eval = encode_one(m, ids).data
+    h_train = encode_one(m, ids, training=True, rng=make_rng(3)).data
     assert np.abs(h_eval - h_train).max() > 0
 
 
@@ -95,10 +109,10 @@ def test_fuse_gate_saturation(vocab):
     e_proj = np.tanh(e.data @ p["fuse.w_e"].data.T + p["fuse.b_e"].data)
 
     p["fuse.b_f"].data[:] = 50.0  # gate -> 1
-    f, g = m.fuse(h, e)
+    f, g = m.fuse_batch(h, e)
     assert np.abs(f.data - h_proj).max() < 1e-6
     p["fuse.b_f"].data[:] = -50.0  # gate -> 0
-    f, g = m.fuse(h, e)
+    f, g = m.fuse_batch(h, e)
     assert np.abs(f.data - e_proj).max() < 1e-6
 
 
@@ -107,7 +121,7 @@ def test_fuse_matches_straight_line_oracle(vocab):
     rng = make_rng(2)
     h = Tensor(rng.normal(size=(4, 3)))
     e = Tensor(rng.normal(size=(4, 2)))
-    f, g = m.fuse(h, e)
+    f, g = m.fuse_batch(h, e)
     p = m.params
     # independent straight-line re-implementation of the gate arithmetic
     sig = lambda z: 1.0 / (1.0 + np.exp(-z))
@@ -124,7 +138,7 @@ def test_fuse_bounds(vocab):
     rng = make_rng(3)
     h = Tensor(rng.normal(size=(20, 16)) * 3)
     e = Tensor(rng.normal(size=(20, 8)) * 3)
-    f, g = m.fuse(h, e)
+    f, g = m.fuse_batch(h, e)
     assert (g.data > 0).all() and (g.data < 1).all()
     assert (f.data > -1).all() and (f.data < 1).all()
 
@@ -133,7 +147,7 @@ def test_fuse_without_bigram(vocab):
     m = tiny_model(vocab, use_bigram=False)
     assert "bigram_emb" not in m.params
     h = Tensor(make_rng(0).normal(size=(4, 16)))
-    f, g = m.fuse(h, None)
+    f, g = m.fuse_batch(h, None)
     assert g is None and f.shape == (4, 16)
 
 
@@ -143,7 +157,7 @@ def test_contextualize_single_position(vocab):
     m = tiny_model(vocab)
     rng = make_rng(4)
     f = Tensor(rng.normal(size=(1, 16)))
-    o = m.contextualize(f)
+    o = contextualize_one(m, f)
     assert o.shape == (1, 16)
     # with one position, attention passes v straight through
     p = m.params
@@ -157,8 +171,8 @@ def test_contextualize_single_position(vocab):
 
 def test_attention_rows_sum_to_one(vocab):
     m = tiny_model(vocab)
-    aug, bi, sent = sentence_inputs(vocab, ["李娜", "进入", "半决赛"], 0)
-    out = m.forward(aug, bi, collect_attn=True)
+    ids, bi, lengths = sentence_inputs(vocab, ["李娜", "进入", "半决赛"], 0)
+    out = m.forward_batch(ids, bi, lengths, collect_attn=True)
     for name, attn in out.attn.items():
         sums = attn.sum(axis=-1)
         assert np.abs(sums - 1.0).max() < 1e-10, name
@@ -170,8 +184,8 @@ def test_contextualize_permutation_equivariant(vocab):
     rng = make_rng(5)
     f = rng.normal(size=(6, 16))
     perm = rng.permutation(6)
-    o = m.contextualize(Tensor(f)).data
-    o_perm = m.contextualize(Tensor(f[perm])).data
+    o = contextualize_one(m, Tensor(f)).data
+    o_perm = contextualize_one(m, Tensor(f[perm])).data
     assert np.abs(o_perm - o[perm]).max() < 1e-10
 
 
@@ -202,10 +216,10 @@ def test_argmax_shift_invariance(vocab):
 def test_classify_criterion_uses_row0_only(vocab):
     m = tiny_model(vocab)
     rng = make_rng(8)
-    h = rng.normal(size=(6, 16))
+    h = rng.normal(size=(1, 6, 16))
     logits = m.classify_criterion(Tensor(h)).data
     h2 = h.copy()
-    h2[1:] = rng.normal(size=(5, 16))
+    h2[0, 1:] = rng.normal(size=(5, 16))
     logits2 = m.classify_criterion(Tensor(h2)).data
     assert np.array_equal(logits, logits2)
     m.params["cls.w_c"].data[:] = 0.0
@@ -216,7 +230,7 @@ def test_classify_criterion_uses_row0_only(vocab):
 def test_classify_single_criterion():
     v = Vocab.build({"only": [RawSentence(["李娜"], 0)]})
     m = tiny_model(v)
-    probs = softmax(m.classify_criterion(Tensor(make_rng(0).normal(size=(3, 16))))).data
+    probs = softmax(m.classify_criterion(Tensor(make_rng(0).normal(size=(1, 3, 16))))).data
     assert np.allclose(probs, 1.0)
 
 
@@ -285,15 +299,15 @@ def test_full_model_gradcheck_quick(vocab):
 def test_forward_shapes(vocab):
     m = tiny_model(vocab)
     for words in (["李"], ["李娜", "进入"], ["李娜", "进入", "半决赛"]):
-        aug, bi, sent = sentence_inputs(vocab, words, 0)
-        T = len(sent)
-        out = m.forward(aug, bi)
-        assert out.hidden.shape == (T + 1, 16)
-        assert out.fused.shape == (T, 16)
-        assert out.contextual.shape == (T, 16)
-        assert out.label_logits.shape == (T, 4)
-        assert out.criterion_logits.shape == (2,)
-        assert out.gate_means.shape == (T,)
+        ids, bi, lengths = sentence_inputs(vocab, words, 0)
+        T = int(lengths[0])
+        out = m.forward_batch(ids, bi, lengths)
+        assert out.hidden.shape == (1, T + 1, 16)
+        assert out.fused.shape == (1, T, 16)
+        assert out.contextual.shape == (1, T, 16)
+        assert out.label_logits.shape == (1, T, 4)
+        assert out.criterion_logits.shape == (1, 2)
+        assert out.gate_means.shape == (1, T)
 
 
 def test_batch_padding_consistent_with_single(vocab):
@@ -320,10 +334,30 @@ def test_segment_unknown_criterion(vocab):
 
 
 def test_segment_words_rejoin_to_original(vocab):
+    # whitespace ends a word and is dropped; every other character is kept
     m = tiny_model(vocab)
-    for text in ("李娜进入半决赛", "李娜2024年ok了", "ＡＢＣ１２３李娜", "abc 123"):
+    for text in ("李娜进入半决赛", "李娜2024年ok了", "ＡＢＣ１２３李娜", "abc 123",
+                 "天地 玄\r", " 李娜\t进入\u3000半决赛 ", " \r\n"):
         words = m.segment_text(text, "pku", vocab)
-        assert "".join(words) == text
+        assert not any(ch.isspace() for word in words for ch in word), words
+        assert "".join(words) == "".join(text.split())
+
+
+def test_segment_agrees_with_batched_prediction(vocab):
+    # segment_text runs a batch of one; evaluation runs padded batches
+    m = tiny_model(vocab)
+    m.params["dec.w_o"].data[:] = make_rng(9).normal(size=(4, 16))  # well-separated labels
+    longer = prepare_sentence(RawSentence(["李娜进入半决赛李娜进入"], 0), vocab)
+    lengths_seen = set()
+    for text in ("李", "李娜", "进入半决赛", "半决赛李娜进入", "娜进李"):
+        for name, cid in vocab.criteria.items():
+            sent = prepare_sentence(RawSentence([text], cid), vocab)
+            labels = m.predict_label_ids([sent, longer], vocab)[0]
+            spans = cp.decode_bmes(labels.tolist())
+            words = m.segment_text(text, name, vocab)
+            assert words == [text[s:e] for s, e in spans]
+            lengths_seen.update(len(w) for w in words)
+    assert len(lengths_seen) > 1  # not all words of one length
 
 
 def test_segment_deterministic_across_runs(vocab):
@@ -374,32 +408,6 @@ def test_checkpoint_vocab_hash_mismatch(tmp_path, vocab):
     other = Vocab.build({"x": [RawSentence(["进入"], 0)]})
     with pytest.raises(ConfigError, match="different vocab"):
         load_checkpoint(path, other)
-
-
-def test_checkpoint_carries_optimizer_state(tmp_path, vocab):
-    from mccws.optim import AdamW
-
-    m = tiny_model(vocab)
-    opt = AdamW(m.params, lr=0.05)
-    grads = {name: np.full_like(p.data, 0.01) for name, p in m.params.items()}
-    for name, p in m.params.items():
-        p.grad = grads[name].copy()
-    opt.step()
-    path = tmp_path / "resume.ckpt"
-    save_checkpoint(path, m, vocab.sha256(), optimizer_arrays=opt.state_arrays())
-
-    loaded, opt_arrays, _ = load_checkpoint(path, vocab)
-    opt2 = AdamW(loaded.params, lr=0.05)
-    opt2.load_state_arrays(opt_arrays)
-    assert opt2.step_count == opt.step_count
-    # one more identical step on both: trajectories must stay in lockstep
-    for name in m.params:
-        m.params[name].grad = grads[name].copy()
-        loaded.params[name].grad = grads[name].copy()
-    opt.step()
-    opt2.step()
-    for name in m.params:
-        assert np.array_equal(m.params[name].data, loaded.params[name].data), name
 
 
 def test_checkpoint_shape_mismatch(tmp_path, vocab):
