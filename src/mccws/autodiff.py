@@ -5,6 +5,7 @@ inputs and a backward closure on the produced tensor, so the implicit tape
 is the operation graph itself. ``backward(loss)`` walks that graph in exact
 reverse topological order and accumulates each node's gradient fully before
 propagating it, which makes gradients bit-deterministic for a fixed graph.
+The walk consumes the graph, freeing each node once it has propagated.
 
 Precision is a module-level switch: float64 by default (gradient checks
 need the headroom), float32 available for fast runs.
@@ -59,7 +60,7 @@ def no_grad():
 class Tensor:
     """A dense array plus an optional gradient buffer of identical shape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_DTYPE)
@@ -84,11 +85,17 @@ class Tensor:
 
     # -- graph plumbing -----------------------------------------------------
 
-    def _accum(self, g) -> None:
+    def _accum(self, g, owned: bool = False) -> None:
+        """Add g into this tensor's gradient. owned=True promises that the
+        caller just allocated g and hands it to no other tensor, so the first
+        accumulation may keep it instead of copying it."""
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.array(g, dtype=_DTYPE, copy=True)
+            if owned and isinstance(g, np.ndarray) and g.dtype == _DTYPE:
+                self.grad = g
+            else:
+                self.grad = np.array(g, dtype=_DTYPE, copy=True)
         else:
             self.grad += g
 
@@ -114,7 +121,7 @@ class Tensor:
             if out._parents:
                 def back():
                     self._accum(out.grad)
-                    other._accum(out.grad.reshape(-1, other.data.shape[0]).sum(axis=0))
+                    other._accum(out.grad.reshape(-1, other.data.shape[0]).sum(axis=0), owned=True)
                 out._backward = back
             return out
         raise ValueError(f"add shape mismatch: {self.data.shape} vs {other.data.shape}")
@@ -125,7 +132,7 @@ class Tensor:
     def __neg__(self):
         out = _node(-self.data, (self,))
         if out._parents:
-            out._backward = lambda: self._accum(-out.grad)
+            out._backward = lambda: self._accum(-out.grad, owned=True)
         return out
 
     def __sub__(self, other):
@@ -139,15 +146,15 @@ class Tensor:
             c = float(other)
             out = _node(self.data * c, (self,))
             if out._parents:
-                out._backward = lambda: self._accum(out.grad * c)
+                out._backward = lambda: self._accum(out.grad * c, owned=True)
             return out
         if self.data.shape != other.data.shape:
             raise ValueError(f"mul shape mismatch: {self.data.shape} vs {other.data.shape}")
         out = _node(self.data * other.data, (self, other))
         if out._parents:
             def back():
-                self._accum(out.grad * other.data)
-                other._accum(out.grad * self.data)
+                self._accum(out.grad * other.data, owned=True)
+                other._accum(out.grad * self.data, owned=True)
             out._backward = back
         return out
 
@@ -159,7 +166,9 @@ class Tensor:
 
     def matmul(self, other: "Tensor") -> "Tensor":
         """Matrix product, 2-D or stacked. Stacked operands must share their
-        leading dims exactly; a 2-D right operand is broadcast over them."""
+        leading dims exactly; a 2-D right operand is broadcast over them.
+        Its gradients then come from one 2-D GEMM each, over the left
+        operand with its leading dims folded into rows."""
         a, b = self.data, other.data
         if a.ndim < 2 or b.ndim < 2:
             raise ValueError("matmul needs >= 2-D operands")
@@ -171,16 +180,20 @@ class Tensor:
         if out._parents:
             def back():
                 g = out.grad
+                if a.ndim > 2 and b.ndim == 2:  # fold a's leading dims into rows
+                    g2 = g.reshape(-1, b.shape[1])
+                    if self.requires_grad:
+                        self._accum((g2 @ b.T).reshape(a.shape), owned=True)
+                    if other.requires_grad:
+                        other._accum(a.reshape(-1, a.shape[-1]).T @ g2, owned=True)
+                    return
                 if self.requires_grad:
                     da = np.matmul(g, np.swapaxes(b, -1, -2))
                     if da.ndim > a.ndim:  # 2-D a broadcast over stacked b
                         da = da.reshape((-1,) + a.shape).sum(axis=0)
-                    self._accum(da)
+                    self._accum(da, owned=True)
                 if other.requires_grad:
-                    db = np.matmul(np.swapaxes(a, -1, -2), g)
-                    if db.ndim > b.ndim:  # 2-D b broadcast over stacked a
-                        db = db.reshape((-1,) + b.shape).sum(axis=0)
-                    other._accum(db)
+                    other._accum(np.matmul(np.swapaxes(a, -1, -2), g), owned=True)
             out._backward = back
         return out
 
@@ -214,7 +227,7 @@ class Tensor:
             def back():
                 g = np.zeros_like(self.data)
                 g[key] += out.grad
-                self._accum(g)
+                self._accum(g, owned=True)
             out._backward = back
         return out
 
@@ -223,13 +236,14 @@ class Tensor:
     def sum(self) -> "Tensor":
         out = _node(self.data.sum(), (self,))
         if out._parents:
-            out._backward = lambda: self._accum(np.full_like(self.data, out.grad))
+            out._backward = lambda: self._accum(np.full_like(self.data, out.grad), owned=True)
         return out
 
     def mean(self) -> "Tensor":
         out = _node(self.data.mean(), (self,))
         if out._parents:
-            out._backward = lambda: self._accum(np.full_like(self.data, out.grad / self.data.size))
+            out._backward = lambda: self._accum(np.full_like(self.data, out.grad / self.data.size),
+                                                owned=True)
         return out
 
     # -- pointwise nonlinearities ----------------------------------------------
@@ -238,7 +252,7 @@ class Tensor:
         y = np.tanh(self.data)
         out = _node(y, (self,))
         if out._parents:
-            out._backward = lambda: self._accum(out.grad * (1.0 - y * y))
+            out._backward = lambda: self._accum(out.grad * (1.0 - y * y), owned=True)
         return out
 
     def sigmoid(self) -> "Tensor":
@@ -247,14 +261,14 @@ class Tensor:
         y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
         out = _node(y, (self,))
         if out._parents:
-            out._backward = lambda: self._accum(out.grad * y * (1.0 - y))
+            out._backward = lambda: self._accum(out.grad * y * (1.0 - y), owned=True)
         return out
 
     def relu(self) -> "Tensor":
         y = np.maximum(self.data, 0.0)
         out = _node(y, (self,))
         if out._parents:
-            out._backward = lambda: self._accum(out.grad * (self.data > 0))
+            out._backward = lambda: self._accum(out.grad * (self.data > 0), owned=True)
         return out
 
 
@@ -281,7 +295,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     if out._parents:
         def back():
             g = out.grad
-            x._accum((g - (g * y).sum(axis=axis, keepdims=True)) * y)
+            x._accum((g - (g * y).sum(axis=axis, keepdims=True)) * y, owned=True)
         out._backward = back
     return out
 
@@ -300,12 +314,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float | None = None) 
         def back():
             g = out.grad
             lead = tuple(range(g.ndim - 1))
-            gain._accum((g * xhat).sum(axis=lead))
-            bias._accum(g.sum(axis=lead))
+            gain._accum((g * xhat).sum(axis=lead), owned=True)
+            bias._accum(g.sum(axis=lead), owned=True)
             if x.requires_grad:
                 gx = g * gain.data
                 x._accum((gx - gx.mean(axis=-1, keepdims=True)
-                          - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) * inv)
+                          - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) * inv,
+                         owned=True)
         out._backward = back
     return out
 
@@ -322,7 +337,7 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
     keep = (rng.random(x.data.shape) >= p).astype(get_dtype()) / (1.0 - p)
     out = _node(x.data * keep, (x,))
     if out._parents:
-        out._backward = lambda: x._accum(out.grad * keep)
+        out._backward = lambda: x._accum(out.grad * keep, owned=True)
     return out
 
 
@@ -337,7 +352,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         def back():
             g = np.zeros_like(table.data)
             np.add.at(g, ids.ravel(), out.grad.reshape(-1, table.data.shape[1]))
-            table._accum(g)
+            table._accum(g, owned=True)
         out._backward = back
     return out
 
@@ -378,13 +393,20 @@ def cross_entropy(logits: Tensor, targets, mask=None, reduction: str = "mean") -
             p /= p.sum(axis=1, keepdims=True)
             p[np.arange(n), targets] -= 1.0
             p[~keep] = 0.0
-            logits._accum(p * (out.grad * scale))
+            logits._accum(p * (out.grad * scale), owned=True)
         out._backward = back
     return out
 
 
 def backward(loss: Tensor) -> None:
-    """Backpropagate from a scalar loss through the recorded graph."""
+    """Backpropagate from a scalar loss through the recorded graph.
+
+    This consumes the graph. Once a node has passed its gradient on to its
+    inputs it drops its gradient, its backward closure and its links to the
+    inputs, so reference counting frees the graph while the walk goes on.
+    Leaves (parameters) keep their accumulated ``.grad``. A graph that
+    reaches a node an earlier call consumed raises ValueError.
+    """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     topo = []
@@ -397,15 +419,20 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._parents is None:
+            raise ValueError("backward reached a graph that an earlier backward consumed")
         visited.add(id(node))
         stack.append((node, True))
         for p in reversed(node._parents):
             if id(p) not in visited:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None:
             node._backward()
+            node._backward = node.grad = None
+            node._parents = None  # marks the node consumed
 
 
 def zero_grads(params) -> None:

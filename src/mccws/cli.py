@@ -3,6 +3,7 @@
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 divergence.
 """
 
+import contextlib
 import json
 import sys
 
@@ -127,7 +128,7 @@ def cmd_train(corpora, dev_corpora, vocab_path, out, metrics_log,
                  params={k: Tensor(v, requires_grad=True) for k, v in result.best_params.items()})
     ckpt.save_checkpoint(out, best, vocab.sha256(), extra={"epochs": epochs, "seed": seed})
     if metrics_log:
-        with open(metrics_log, "a", encoding="utf-8") as fh:
+        with cp.open_output(metrics_log, "a", encoding="utf-8") as fh:
             for rec in result.metrics:
                 fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
     if result.metrics:
@@ -153,18 +154,14 @@ def cmd_segment(checkpoint_path, vocab_path, criterion, input_path, output_path)
     if criterion not in vocab.criteria:
         raise ConfigError(
             f"unknown criterion {criterion!r}; registered: {sorted(vocab.criteria)}")
-    src = open(input_path, encoding="utf-8") if input_path else sys.stdin
-    dst = open(output_path, "w", encoding="utf-8") if output_path else sys.stdout
-    try:
+    with contextlib.ExitStack() as stack:
+        src = stack.enter_context(open(input_path, encoding="utf-8")) if input_path else sys.stdin
+        dst = (stack.enter_context(cp.open_output(output_path, "w", encoding="utf-8"))
+               if output_path else sys.stdout)
         for line in src:
             words = model.segment_text(line.rstrip("\n"), criterion, vocab)
             dst.write(" ".join(words) + "\n")
             dst.flush()
-    finally:
-        if input_path:
-            src.close()
-        if output_path:
-            dst.close()
 
 
 @cli.command("evaluate")

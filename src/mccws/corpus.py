@@ -155,16 +155,38 @@ class Sentence:
         return len(self.tokens)
 
 
+def _unwritable(path, exc: OSError) -> DataError:
+    return DataError(f"cannot write {os.fspath(path)}: {exc.strerror or exc}")
+
+
+def open_output(path, mode: str, **kwargs):
+    """open() a file for writing; one that cannot be opened is a DataError
+    naming path."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
+
+
 @contextlib.contextmanager
 def atomic_open(path, mode: str, **kwargs):
     """Open a temporary file beside path for writing; it replaces path only
-    when the block exits cleanly, so a failed write leaves the old file."""
+    when the block exits cleanly, so a failed write leaves the old file.
+    A temporary file that cannot be created or moved onto path is a
+    DataError naming path, not the temporary file."""
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode, **kwargs) as fh:
+        try:
+            fh = open(tmp, mode, **kwargs)
+        except OSError as exc:
+            raise _unwritable(path, exc) from exc
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise _unwritable(path, exc) from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

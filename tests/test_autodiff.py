@@ -54,6 +54,40 @@ def test_matmul_stacked_and_broadcast_grad():
     assert_grads_match(loss_fn, [a, b, w])
 
 
+def split_heads(x):
+    """[2, 3, 4] -> [2, 2, 3, 2], a strided view, as attention splits heads."""
+    return x.reshape(2, 3, 2, 2).transpose(0, 2, 1, 3)
+
+
+def merge_heads(x):
+    """[2, 2, 3, 2] -> [2, 3, 4], as attention merges heads."""
+    return x.transpose(0, 2, 1, 3).reshape(2, 3, 4)
+
+
+@pytest.mark.parametrize("shape, view", [
+    ((2, 3, 4), None),
+    ((2, 2, 3, 4), None),
+    ((2, 3, 4), split_heads),
+    ((2, 2, 3, 2), merge_heads),
+])
+def test_matmul_folded_2d_right_grad(shape, view):
+    # both gradients of [..., d] @ [d, k] fold the leading dims into one 2-D GEMM
+    rng = make_rng(13)
+    x = parameter(rng.normal(size=shape))
+    lhs = view or (lambda t: t)
+    d = lhs(x).shape[-1]
+    w = parameter(rng.normal(size=(5, d)))
+    r = Tensor(rng.normal(size=lhs(x).shape[:-1] + (5,)))
+
+    def loss_fn():
+        return (lhs(x).matmul(w.transpose()) * r).sum().item()
+
+    if view is split_heads:
+        assert not lhs(x).data.flags.c_contiguous
+    backward((lhs(x).matmul(w.transpose()) * r).sum())
+    assert_grads_match(loss_fn, [x, w])
+
+
 # -- softmax ---------------------------------------------------------------------
 
 def test_softmax_uniform():
@@ -300,6 +334,21 @@ def test_backward_reuse_accumulates():
     assert np.allclose(w.grad, 2.0)
 
 
+def test_backward_consumes_graph():
+    w = parameter(np.array([[1.5, -0.5]]))
+    loss = (w * w).sum()
+    backward(loss)
+    first = w.grad.copy()
+    with pytest.raises(ValueError, match="consumed"):
+        backward(loss)
+    assert np.array_equal(w.grad, first)
+    # a new graph that reaches into a consumed one is refused too
+    h = w.tanh()
+    backward(h.sum())
+    with pytest.raises(ValueError, match="consumed"):
+        backward((h * h).sum())
+
+
 def test_backward_bit_deterministic():
     def run():
         rng = make_rng(10)
@@ -313,35 +362,66 @@ def test_backward_bit_deterministic():
     assert run() == run()
 
 
-def test_every_op_composite_fd_multiseed():
-    # one pass through every differentiable op, spot-checked over 5 seeds
-    for seed in range(5):
-        rng = make_rng(100 + seed)
-        table = parameter(rng.normal(size=(7, 6)))
-        w = parameter(rng.normal(size=(6, 6)))
-        b = parameter(rng.normal(size=6))
-        g = parameter(rng.normal(size=6))
-        bias = parameter(rng.normal(size=6))
-        ids = rng.integers(0, 7, size=5)
-        targets = rng.integers(0, 6, size=5)
+def every_op_graph(seed):
+    """Parameters and a loss closure that pass through every differentiable op."""
+    rng = make_rng(100 + seed)
+    table = parameter(rng.normal(size=(7, 6)))
+    w = parameter(rng.normal(size=(6, 6)))
+    b = parameter(rng.normal(size=6))
+    g = parameter(rng.normal(size=6))
+    bias = parameter(rng.normal(size=6))
+    ids = rng.integers(0, 7, size=5)
+    targets = rng.integers(0, 6, size=5)
 
-        def loss_fn():
-            h = embedding_lookup(table, ids)
-            h = h.matmul(w.transpose()) + b
-            h = layer_norm(h.tanh() + h.sigmoid() + h.relu(), g, bias)
-            h = h.reshape(5, 6)[1:, :]
-            p = softmax(h)
-            return (cross_entropy(h, targets[1:]) + (p * p).sum() * 0.5).item()
-
-        params = [table, w, b, g, bias]
+    def loss():
         h = embedding_lookup(table, ids)
         h = h.matmul(w.transpose()) + b
         h = layer_norm(h.tanh() + h.sigmoid() + h.relu(), g, bias)
         h = h.reshape(5, 6)[1:, :]
         p = softmax(h)
-        backward(cross_entropy(h, targets[1:]) + (p * p).sum() * 0.5)
-        assert_grads_match(loss_fn, params)
+        return cross_entropy(h, targets[1:]) + (p * p).sum() * 0.5
+
+    return [table, w, b, g, bias], loss
+
+
+def test_every_op_composite_fd_multiseed():
+    # one pass through every differentiable op, spot-checked over 5 seeds
+    for seed in range(5):
+        params, loss = every_op_graph(seed)
+        backward(loss())
+        assert_grads_match(lambda: loss().item(), params)
         ad.zero_grads(params)
+
+
+def assert_no_shared_grads(tensors):
+    grads = [t.grad for t in tensors if t.grad is not None]
+    for i, gi in enumerate(grads):
+        for gj in grads[i + 1:]:
+            assert not np.shares_memory(gi, gj)
+
+
+def test_gradient_buffers_never_alias():
+    params, loss = every_op_graph(0)
+    backward(loss())
+    assert all(p.grad is not None for p in params)
+    assert_no_shared_grads(params)
+
+
+def test_parameter_shared_by_matmuls_and_add_sums_grads():
+    rng = make_rng(14)
+    w = parameter(rng.normal(size=(3, 3)))
+    v = parameter(rng.normal(size=(3, 3)))
+    x = Tensor(rng.normal(size=(2, 4, 3)))
+    z = Tensor(rng.normal(size=(2, 4, 3)))
+
+    def loss():
+        h = x.matmul(w).tanh() + z.matmul(w.transpose())
+        s = w + v
+        return (h * h).sum() + (s * s).sum()
+
+    backward(loss())
+    assert_grads_match(lambda: loss().item(), [w, v])
+    assert_no_shared_grads([w, v])
 
 
 def test_no_grad_blocks_recording():

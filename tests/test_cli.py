@@ -318,6 +318,38 @@ def test_failed_write_keeps_previous_file(trained, tmp_path, monkeypatch, target
     assert os.listdir(tmp_path) == [target]
 
 
+UNWRITABLE = {
+    "build-vocab --out": lambda d, target: [
+        "build-vocab", "--corpus", f"ctb={d / 'ctb.txt'}", "--out", target],
+    "train --out": lambda d, target: [
+        "train", "--corpus", f"ctb={d / 'ctb.txt'}", "--vocab", str(d / "vocab.txt"),
+        "--epochs", "1", "--d-h", "16", "--d-e", "8", "--layers", "1", "--heads", "2",
+        "--d-ff", "32", "--max-len", "32", "--out", target],
+    "train --metrics-log": lambda d, target: [
+        "train", "--corpus", f"ctb={d / 'ctb.txt'}", "--vocab", str(d / "vocab.txt"),
+        "--epochs", "1", "--d-h", "16", "--d-e", "8", "--layers", "1", "--heads", "2",
+        "--d-ff", "32", "--max-len", "32", "--out", str(d / "unwritable_ok.ckpt"),
+        "--metrics-log", target],
+    "evaluate --report": lambda d, target: [
+        "evaluate", "--checkpoint", str(d / "model.ckpt"), "--vocab", str(d / "vocab.txt"),
+        "--gold", f"ctb={d / 'ctb.txt'}", "--report", target],
+    "segment --output": lambda d, target: [
+        "segment", "--checkpoint", str(d / "model.ckpt"), "--vocab", str(d / "vocab.txt"),
+        "--criterion", "ctb", "--input", str(d / "ctb.txt"), "--output", target],
+}
+
+
+@pytest.mark.parametrize("parts", [("missing_dir", "out.txt"), ("a_dir",)], ids=["missing", "dir"])
+@pytest.mark.parametrize("flag", sorted(UNWRITABLE))
+def test_unwritable_output_exits_data(trained, tmp_path, flag, parts):
+    (tmp_path / "a_dir").mkdir()
+    target = str(tmp_path.joinpath(*parts))
+    proc = run_cli(*UNWRITABLE[flag](trained, target), expect=3)
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert target in proc.stderr and ".tmp" not in proc.stderr
+    assert os.listdir(tmp_path) == ["a_dir"]
+
+
 # -- synth ---------------------------------------------------------------------------
 
 def test_synth_writes_splits(tmp_path):

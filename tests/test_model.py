@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -292,6 +295,36 @@ def test_full_model_gradcheck_quick(vocab):
     backward(loss)
     assert_grads_match(loss_fn, list(m.params.values()))
     zero_grads(m.params.values())
+
+
+def test_backward_frees_graph_without_collector(vocab):
+    m = tiny_model(vocab)
+    sents = [prepare_sentence(RawSentence(["李娜", "进入"], 0), vocab),
+             prepare_sentence(RawSentence(["半", "决赛"], 1), vocab)]
+    ids, bi, lengths, labels, cids = pack_batch(sents, vocab)
+    params = {id(p) for p in m.params.values()}
+    gc.disable()
+    try:
+        loss, out = m.loss_batch(ids, bi, lengths, labels, cids, training=True, rng=make_rng(0))
+        interior, seen, stack = [], set(), [loss]
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                stack.extend(t._parents)
+                if id(t) not in params:
+                    interior.append(weakref.ref(t))
+        del t, stack
+        backward(loss)
+        assert all(r().grad is None for r in interior if r() is not None)
+        graph = [weakref.ref(loss), weakref.ref(out.hidden)]
+        del loss, out
+        assert all(r() is None for r in graph)
+        assert all(r() is None for r in interior)
+    finally:
+        gc.enable()
+    for name, p in m.params.items():
+        assert p.grad is not None and np.isfinite(p.grad).all(), name
 
 
 # -- shape contract -----------------------------------------------------------------
