@@ -258,7 +258,8 @@ class Tensor:
     def sigmoid(self) -> "Tensor":
         # stable two-branch logistic
         x = self.data
-        y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        z = np.exp(-np.abs(x))
+        y = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
         out = _node(y, (self,))
         if out._parents:
             out._backward = lambda: self._accum(out.grad * y * (1.0 - y), owned=True)

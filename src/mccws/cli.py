@@ -121,16 +121,16 @@ def cmd_train(corpora, dev_corpora, vocab_path, out, metrics_log,
     if epochs == 0:
         click.echo("warning: --epochs 0 writes a checkpoint of initialized parameters",
                    err=True)
-    result = tr.train(model, vocab, train_sents, dev_sents or None, cfg)
-
-    from .autodiff import Tensor
-    best = Model(config, model.n_unigrams, model.n_bigrams,
-                 params={k: Tensor(v, requires_grad=True) for k, v in result.best_params.items()})
-    ckpt.save_checkpoint(out, best, vocab.sha256(), extra={"epochs": epochs, "seed": seed})
-    if metrics_log:
-        with cp.open_output(metrics_log, "a", encoding="utf-8") as fh:
+    cp.check_writable(out)
+    log_file = cp.open_output(metrics_log, "a", encoding="utf-8") if metrics_log else None
+    with log_file or contextlib.nullcontext():
+        result = tr.train(model, vocab, train_sents, dev_sents or None, cfg)
+        for name, data in result.best_params.items():
+            model.params[name].data = data
+        ckpt.save_checkpoint(out, model, vocab.sha256(), extra={"epochs": epochs, "seed": seed})
+        if log_file is not None:
             for rec in result.metrics:
-                fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+                log_file.write(json.dumps(rec, ensure_ascii=False) + "\n")
     if result.metrics:
         last_train = [r for r in result.metrics if r["split"] == "train"][-1]
         click.echo(f"final train loss: {last_train['loss']:.4f}")
@@ -177,14 +177,14 @@ def cmd_evaluate(checkpoint_path, vocab_path, gold_corpora, report_path, batch_s
     arithmetic-mean row when several criteria are given."""
     vocab = cp.Vocab.load(vocab_path)
     model, _, _ = ckpt.load_checkpoint(checkpoint_path, vocab)
+    corpora = load_criterion_corpora(gold_corpora, vocab)
+    for name, raws in corpora.items():
+        if not raws:
+            raise DataError(f"gold file for criterion {name!r} has no sentences")
     reports = []
-    for name, raws in load_criterion_corpora(gold_corpora, vocab).items():
+    for name, raws in corpora.items():
         sentences = tr.prepare_for_eval(raws, vocab, model.config.max_len)
-        tokens = [s.tokens for s in sentences]
-        gold = [s.gold_spans for s in sentences]
-        preds = model.predict_label_ids(sentences, vocab, batch_size=batch_size)
-        pred = [cp.decode_bmes(p.tolist()) for p in preds]
-        reports.append(mt.evaluate_criterion(tokens, gold, pred, vocab.lexicon(name), name))
+        reports.append(tr.evaluate_model(model, vocab, sentences, batch_size)[name][0])
     click.echo(mt.report_table(reports), nl=False)
     if report_path:
         with cp.atomic_open(report_path, "w", encoding="utf-8") as fh:

@@ -8,6 +8,7 @@ word spans in token coordinates.
 """
 
 import contextlib
+import errno
 import hashlib
 import os
 import re
@@ -168,6 +169,25 @@ def open_output(path, mode: str, **kwargs):
         raise _unwritable(path, exc) from exc
 
 
+def _temp_beside(path: str) -> str:
+    return f"{path}.{os.getpid()}.tmp"
+
+
+def check_writable(path) -> None:
+    """Raise the DataError that atomic_open(path) would raise, without
+    touching path: its temporary file must be creatable and path must not be
+    a directory."""
+    path = os.fspath(path)
+    if os.path.isdir(path):
+        raise _unwritable(path, IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR)))
+    tmp = _temp_beside(path)
+    try:
+        open(tmp, "wb").close()
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
+    os.remove(tmp)
+
+
 @contextlib.contextmanager
 def atomic_open(path, mode: str, **kwargs):
     """Open a temporary file beside path for writing; it replaces path only
@@ -175,7 +195,7 @@ def atomic_open(path, mode: str, **kwargs):
     A temporary file that cannot be created or moved onto path is a
     DataError naming path, not the temporary file."""
     path = os.fspath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = _temp_beside(path)
     try:
         try:
             fh = open(tmp, mode, **kwargs)
@@ -343,7 +363,10 @@ class Vocab:
             lines.append(f"{pair}\t{i}")
         for name in self.criteria:
             lines.append(f"[lexicon:{name}]")
-            lines.extend(self.lexicons.get(name, []))
+            # A backslash escapes a word that starts with "[" (such as "[<eng>]",
+            # which would read back as a section header) or with a backslash.
+            lines.extend("\\" + w if w.startswith(("[", "\\")) else w
+                         for w in self.lexicons.get(name, []))
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
@@ -381,7 +404,8 @@ class Vocab:
                 pair, i = line.split("\t")
                 bigrams[pair] = int(i)
             elif section is not None and section.startswith("lexicon:"):
-                lexicons[section.split(":", 1)[1]].append(line)
+                lexicons[section.split(":", 1)[1]].append(
+                    line[1:] if line.startswith("\\") else line)
             else:
                 raise DataError(f"vocab line outside any section: {line!r}")
         for i, tok in enumerate(RESERVED):

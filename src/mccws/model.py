@@ -188,8 +188,7 @@ class Model:
 
         scores = q.matmul(k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dk))  # [B,H,L,L]
         bias = np.where(key_valid, 0.0, NEG_INF).astype(get_dtype())
-        mask = Tensor(np.broadcast_to(bias[:, None, None, :], (B, H, L, L)))
-        attn = softmax(scores + mask, axis=-1)
+        attn = softmax(scores + bias[:, None, None, :], axis=-1)
         ctx = attn.matmul(v).transpose(0, 2, 1, 3).reshape(B, L, d)
         out = _linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
         return out, attn
@@ -315,19 +314,25 @@ class Model:
 
     # -- inference ------------------------------------------------------------------------------
 
-    def predict_label_ids(self, sentences: list[cp.Sentence], vocab: cp.Vocab,
-                          batch_size: int = 64) -> list[np.ndarray]:
-        """Greedy per-position argmax labels for each sentence (no CRF)."""
-        preds: list[np.ndarray] = []
+    def predict(self, sentences: list[cp.Sentence], vocab: cp.Vocab,
+                batch_size: int = 64) -> tuple[list[np.ndarray], np.ndarray]:
+        """Eval-mode forward over consecutive batches of batch_size sentences.
+
+        Returns (labels, criteria): the greedy per-position BMES ids of each
+        sentence, trimmed to its length (no CRF), and the criterion
+        classifier's argmax per sentence [N].
+        """
+        labels: list[np.ndarray] = []
+        criteria: list[int] = []
         for start in range(0, len(sentences), batch_size):
             chunk = sentences[start:start + batch_size]
             ids, bi, lengths, _, _ = pack_batch(chunk, vocab)
             with no_grad():
                 out = self.forward_batch(ids, bi, lengths)
-            logits = out.label_logits.data
-            for j, sent in enumerate(chunk):
-                preds.append(np.argmax(logits[j, : len(sent)], axis=-1))
-        return preds
+            label_ids = np.argmax(out.label_logits.data, axis=-1)
+            labels.extend(label_ids[j, :T] for j, T in enumerate(lengths))
+            criteria.extend(np.argmax(out.criterion_logits.data, axis=-1))
+        return labels, np.array(criteria, dtype=np.int64)
 
     def segment_text(self, text: str, criterion_name: str, vocab: cp.Vocab) -> list[str]:
         """Segment raw text under the named criterion.

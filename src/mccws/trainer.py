@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import corpus as cp
-from .autodiff import backward, make_rng, no_grad, zero_grads
+from .autodiff import backward, make_rng, zero_grads
 from .errors import DataError, DivergenceError
 from .metrics import EvalReport, evaluate_criterion, mean_f1
 from .model import Model, pack_batch
@@ -34,7 +34,6 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    model: Model
     best_params: dict[str, np.ndarray]
     best_f1: float
     metrics: list[dict] = field(default_factory=list)
@@ -84,50 +83,23 @@ def prepare_for_eval(raws: list[cp.RawSentence], vocab: cp.Vocab, max_len: int) 
 
 def evaluate_model(model: Model, vocab: cp.Vocab, sentences: list[cp.Sentence],
                    batch_size: int = 64) -> dict[str, tuple[EvalReport, float]]:
-    """Segment every sentence in eval mode and score per criterion.
+    """Segment every sentence in eval mode and score each criterion that has
+    sentences.
 
     Returns criterion name -> (EvalReport, criterion classifier accuracy).
     """
-    names = vocab.criterion_names
-    by_crit: dict[str, dict] = {
-        name: {"tokens": [], "gold": [], "pred": [], "crit_hits": 0, "crit_total": 0}
-        for name in names
-    }
-    for start in range(0, len(sentences), batch_size):
-        chunk = sentences[start:start + batch_size]
-        ids, bi, lengths, _, cids = pack_batch(chunk, vocab)
-        with no_grad():
-            out = model.forward_batch(ids, bi, lengths)
-        label_ids = np.argmax(out.label_logits.data, axis=-1)
-        crit_pred = np.argmax(out.criterion_logits.data, axis=-1)
-        for j, sent in enumerate(chunk):
-            name = names[sent.criterion_id]
-            bucket = by_crit[name]
-            bucket["tokens"].append(sent.tokens)
-            bucket["gold"].append(sent.gold_spans)
-            bucket["pred"].append(cp.decode_bmes(label_ids[j, : len(sent)].tolist()))
-            bucket["crit_total"] += 1
-            bucket["crit_hits"] += int(crit_pred[j] == sent.criterion_id)
+    labels, criteria = model.predict(sentences, vocab, batch_size)
     results = {}
-    for name, bucket in by_crit.items():
-        if not bucket["crit_total"]:
+    for cid, name in enumerate(vocab.criterion_names):
+        rows = [j for j, sent in enumerate(sentences) if sent.criterion_id == cid]
+        if not rows:
             continue
-        report = evaluate_criterion(bucket["tokens"], bucket["gold"], bucket["pred"],
+        report = evaluate_criterion([sentences[j].tokens for j in rows],
+                                    [sentences[j].gold_spans for j in rows],
+                                    [cp.decode_bmes(labels[j].tolist()) for j in rows],
                                     vocab.lexicon(name), criterion=name)
-        accuracy = bucket["crit_hits"] / bucket["crit_total"]
-        results[name] = (report, accuracy)
+        results[name] = (report, int((criteria[rows] == cid).sum()) / len(rows))
     return results
-
-
-def label_accuracy(model: Model, vocab: cp.Vocab, sentences: list[cp.Sentence]) -> float:
-    """Per-position accuracy of greedy labels against gold BMES labels."""
-    preds = model.predict_label_ids(sentences, vocab)
-    hits = total = 0
-    for sent, pred in zip(sentences, preds):
-        gold = cp.encode_bmes(sent.gold_spans, len(sent))
-        hits += int((pred == np.asarray(gold)).sum())
-        total += len(gold)
-    return hits / total if total else 0.0
 
 
 def train(model: Model, vocab: cp.Vocab, train_sentences: list[cp.Sentence],
@@ -141,7 +113,7 @@ def train(model: Model, vocab: cp.Vocab, train_sentences: list[cp.Sentence],
     metrics: list[dict] = []
     if cfg.epochs == 0:
         snap = {name: p.data.copy() for name, p in model.params.items()}
-        return TrainResult(model=model, best_params=snap, best_f1=0.0, metrics=metrics)
+        return TrainResult(best_params=snap, best_f1=0.0, metrics=metrics)
 
     n_batches = math.ceil(len(train_sentences) / cfg.batch_size)
     total_steps = cfg.epochs * n_batches
@@ -184,5 +156,4 @@ def train(model: Model, vocab: cp.Vocab, train_sentences: list[cp.Sentence],
     if best_params is None:
         best_params = {name: p.data.copy() for name, p in model.params.items()}
         best_f1 = 0.0
-    return TrainResult(model=model, best_params=best_params, best_f1=best_f1,
-                       metrics=metrics)
+    return TrainResult(best_params=best_params, best_f1=best_f1, metrics=metrics)

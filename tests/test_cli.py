@@ -1,6 +1,7 @@
 import builtins
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -190,6 +191,19 @@ def test_evaluate_overlong_line_is_data_error(trained, tmp_path):
     assert "lines" in proc.stderr
 
 
+def test_evaluate_empty_gold_exits_data(trained, tmp_path):
+    # a blank gold file used to print a 0.0000 row that dragged down the avg row
+    d = trained
+    (tmp_path / "blank.txt").write_text("\n  \n", encoding="utf-8")
+    report = tmp_path / "report.jsonl"
+    proc = run_cli("evaluate", "--checkpoint", str(d / "model.ckpt"),
+                   "--vocab", str(d / "vocab.txt"),
+                   "--gold", f"ctb={d / 'ctb.txt'}", "--gold", f"pku={tmp_path / 'blank.txt'}",
+                   "--report", str(report), expect=3)
+    assert "'pku'" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == "" and not report.exists()
+
+
 # -- checkpoint files ----------------------------------------------------------------
 
 def edit_header(blob: bytes, edit) -> bytes:
@@ -348,6 +362,27 @@ def test_unwritable_output_exits_data(trained, tmp_path, flag, parts):
     assert "Traceback" not in proc.stdout + proc.stderr
     assert target in proc.stderr and ".tmp" not in proc.stderr
     assert os.listdir(tmp_path) == ["a_dir"]
+
+
+@pytest.mark.parametrize("parts", [("missing_dir", "out.txt"), ("a_dir",)], ids=["missing", "dir"])
+@pytest.mark.parametrize("flag", ["--out", "--metrics-log"])
+def test_train_checks_outputs_before_training(trained, tmp_path, monkeypatch, flag, parts):
+    (tmp_path / "a_dir").mkdir()
+    target = str(tmp_path.joinpath(*parts))
+    outputs = {"--out": str(tmp_path / "model.ckpt"),
+               "--metrics-log": str(tmp_path / "metrics.jsonl"), flag: target}
+
+    def train(*args, **kwargs):
+        raise AssertionError("trained before its outputs were checked")
+
+    monkeypatch.setattr(cli.tr, "train", train)
+    with pytest.raises(DataError, match=re.escape(target)) as info:
+        cli.cli.main(["train", "--corpus", f"ctb={trained / 'ctb.txt'}",
+                      "--vocab", str(trained / "vocab.txt"),
+                      *(arg for pair in outputs.items() for arg in pair)],
+                     standalone_mode=False)
+    assert ".tmp" not in str(info.value)
+    assert os.listdir(tmp_path) == ["a_dir"]  # neither a checkpoint nor a metrics log
 
 
 # -- synth ---------------------------------------------------------------------------

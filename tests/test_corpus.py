@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mccws import corpus
 from mccws.corpus import (
@@ -218,9 +220,30 @@ def test_vocab_save_load_round_trip(tmp_path, vocab):
     assert loaded.criteria == vocab.criteria
     assert loaded.lexicons == vocab.lexicons
     assert loaded.sha256() == vocab.sha256()
+    # the format is unchanged for words that need no escape: old hashes hold
+    assert vocab.sha256() == "410bdb5b4f50312ab12a2b9ca42595f5d23a9975e9a9242da4ef161a41405a7b"
     # byte-identical re-save
     loaded.save(tmp_path / "vocab2.txt")
     assert (tmp_path / "vocab2.txt").read_bytes() == path.read_bytes()
+
+
+_WORD = st.text(st.characters(codec="utf-8").filter(lambda c: c.isprintable() and not c.isspace()),
+                min_size=1, max_size=4)
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(st.one_of(_WORD, _WORD.map(lambda w: f"[{w}]"),
+                                   _WORD.map(lambda w: "\\" + w)),
+                         min_size=1, max_size=6),
+                min_size=1, max_size=5))
+@example([["［ab］", "李"], ["\\x", "[", "\\"]])
+def test_vocab_text_round_trip_any_words(sentences):
+    v = Vocab.build({"a": [RawSentence(words, 0) for words in sentences],
+                     "b": [RawSentence(words[::-1], 1) for words in sentences]})
+    text = v.to_text()
+    back = Vocab.from_text(text)
+    assert back == v
+    assert back.to_text() == text
 
 
 def test_vocab_lexicon(vocab):

@@ -348,9 +348,12 @@ def test_batch_padding_consistent_with_single(vocab):
     m = tiny_model(vocab)
     short = prepare_sentence(RawSentence(["李娜"], 0), vocab)
     long = prepare_sentence(RawSentence(["李娜", "进入", "半决赛"], 1), vocab)
-    solo = m.predict_label_ids([short], vocab)[0]
-    batched = m.predict_label_ids([short, long], vocab)[0]
-    assert np.array_equal(solo, batched)
+    solo_labels, solo_criteria = m.predict([short], vocab)
+    for batch_size in (1, 2):
+        labels, criteria = m.predict([short, long], vocab, batch_size=batch_size)
+        assert [len(x) for x in labels] == [len(short), len(long)]
+        assert np.array_equal(solo_labels[0], labels[0])
+        assert criteria.shape == (2,) and criteria[0] == solo_criteria[0]
 
 
 # -- segmentation -------------------------------------------------------------------
@@ -385,7 +388,7 @@ def test_segment_agrees_with_batched_prediction(vocab):
     for text in ("李", "李娜", "进入半决赛", "半决赛李娜进入", "娜进李"):
         for name, cid in vocab.criteria.items():
             sent = prepare_sentence(RawSentence([text], cid), vocab)
-            labels = m.predict_label_ids([sent, longer], vocab)[0]
+            labels = m.predict([sent, longer], vocab)[0][0]
             spans = cp.decode_bmes(labels.tolist())
             words = m.segment_text(text, name, vocab)
             assert words == [text[s:e] for s, e in spans]

@@ -167,10 +167,3 @@ def test_criterion_classifier_saturates(small_setup):
     results = tr.evaluate_model(model, vocab, dev_sents)
     for name, (_, accuracy) in results.items():
         assert accuracy == 1.0, name
-
-
-def test_label_accuracy_helper(small_setup):
-    vocab, train_sents, _ = small_setup
-    model = small_model(vocab)
-    acc = tr.label_accuracy(model, vocab, train_sents[:10])
-    assert 0.0 <= acc <= 1.0
