@@ -301,6 +301,34 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
+def masked_softmax(scores: Tensor, scale: float, bias: np.ndarray) -> Tensor:
+    """softmax(scores * scale + bias) over the last axis, as one node.
+
+    bias is a constant additive mask that broadcasts against scores without
+    being expanded, e.g. [B, 1, 1, L] key mask against [B, H, L, L] attention
+    scores; a large negative entry gives its key probability 0, and a mask
+    that does not broadcast to scores' shape is a ValueError. The forward
+    works in place on one buffer the node owns, so attention keeps one
+    [B, H, L, L] array alive instead of one per elementwise step.
+    """
+    y = scores.data * scale
+    y += bias
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    out = _node(y, (scores,))
+    if out._parents:
+        def back():
+            g = out.grad
+            gx = g * y
+            np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
+            gx *= y
+            gx *= scale
+            scores._accum(gx, owned=True)
+        out._backward = back
+    return out
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float | None = None) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply an
     elementwise affine gain and bias."""

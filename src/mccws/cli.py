@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 divergence.
 
 import contextlib
 import json
+import os
 import sys
 
 import click
@@ -201,18 +202,20 @@ def cmd_evaluate(checkpoint_path, vocab_path, gold_corpora, report_path, batch_s
 @click.option("--seed", default=0, show_default=True)
 def cmd_synth(out_dir, criteria_pairs, train_sentences, dev_sentences, test_sentences, seed):
     """Generate a synthetic multi-criteria corpus."""
-    import os
     criteria = parse_pairs(criteria_pairs, "criteria") if criteria_pairs else None
     kwargs = dict(n_train=train_sentences, n_dev=dev_sentences, n_test=test_sentences)
     if criteria:
         kwargs["criteria"] = criteria
     spec = sy.SyntheticSpec(**kwargs)
     corpora = sy.generate_synthetic(spec, seed=seed)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create directory {out_dir}: {exc.strerror or exc}") from exc
     for name, splits in corpora.items():
         for split, sents in splits.items():
             path = os.path.join(out_dir, f"{name}.{split}.txt")
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            with cp.atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
                 for sent in sents:
                     fh.write(" ".join(sent.words) + "\n")
             click.echo(f"wrote {path} ({len(sents)} sentences)")

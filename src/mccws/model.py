@@ -20,7 +20,7 @@ import numpy as np
 from . import corpus as cp
 from .autodiff import (
     Tensor, cross_entropy, dropout, embedding_lookup, get_dtype, layer_norm,
-    no_grad, parameter, softmax,
+    masked_softmax, no_grad, parameter,
 )
 from .errors import ConfigError, DataError
 
@@ -186,9 +186,9 @@ class Model:
         k = split_heads(_linear(x, p[f"{prefix}.wk"], p[f"{prefix}.bk"]))
         v = split_heads(_linear(x, p[f"{prefix}.wv"], p[f"{prefix}.bv"]))
 
-        scores = q.matmul(k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dk))  # [B,H,L,L]
+        scores = q.matmul(k.transpose(0, 1, 3, 2))  # [B,H,L,L]
         bias = np.where(key_valid, 0.0, NEG_INF).astype(get_dtype())
-        attn = softmax(scores + bias[:, None, None, :], axis=-1)
+        attn = masked_softmax(scores, 1.0 / math.sqrt(dk), bias[:, None, None, :])
         ctx = attn.matmul(v).transpose(0, 2, 1, 3).reshape(B, L, d)
         out = _linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
         return out, attn
@@ -316,23 +316,29 @@ class Model:
 
     def predict(self, sentences: list[cp.Sentence], vocab: cp.Vocab,
                 batch_size: int = 64) -> tuple[list[np.ndarray], np.ndarray]:
-        """Eval-mode forward over consecutive batches of batch_size sentences.
+        """Eval-mode forward over batches of at most batch_size sentences.
 
-        Returns (labels, criteria): the greedy per-position BMES ids of each
-        sentence, trimmed to its length (no CRF), and the criterion
-        classifier's argmax per sentence [N].
+        Sentences are batched in order of length (a stable sort), so a batch
+        pads to little more than its longest sentence; results come back in
+        input order. Returns (labels, criteria): the greedy per-position BMES
+        ids of each sentence, trimmed to its length (no CRF), and the
+        criterion classifier's argmax per sentence [N].
         """
-        labels: list[np.ndarray] = []
-        criteria: list[int] = []
-        for start in range(0, len(sentences), batch_size):
-            chunk = sentences[start:start + batch_size]
-            ids, bi, lengths, _, _ = pack_batch(chunk, vocab)
+        if batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+        order = np.argsort([len(s) for s in sentences], kind="stable")
+        labels: list[np.ndarray] = [None] * len(sentences)
+        criteria = np.zeros(len(sentences), dtype=np.int64)
+        for start in range(0, len(order), batch_size):
+            rows = order[start:start + batch_size]
+            ids, bi, lengths, _, _ = pack_batch([sentences[i] for i in rows], vocab)
             with no_grad():
                 out = self.forward_batch(ids, bi, lengths)
             label_ids = np.argmax(out.label_logits.data, axis=-1)
-            labels.extend(label_ids[j, :T] for j, T in enumerate(lengths))
-            criteria.extend(np.argmax(out.criterion_logits.data, axis=-1))
-        return labels, np.array(criteria, dtype=np.int64)
+            for j, i in enumerate(rows):
+                labels[i] = label_ids[j, :lengths[j]]
+            criteria[rows] = np.argmax(out.criterion_logits.data, axis=-1)
+        return labels, criteria
 
     def segment_text(self, text: str, criterion_name: str, vocab: cp.Vocab) -> list[str]:
         """Segment raw text under the named criterion.

@@ -6,7 +6,7 @@ import pytest
 from mccws import autodiff as ad
 from mccws.autodiff import (
     Tensor, backward, cross_entropy, dropout, embedding_lookup, layer_norm,
-    make_rng, parameter, softmax,
+    make_rng, masked_softmax, parameter, softmax,
 )
 
 from gradutil import assert_grads_match, finite_diff, max_violation
@@ -126,6 +126,64 @@ def test_softmax_grad():
 
     backward((softmax(x) * w).sum())
     assert_grads_match(loss_fn, [x])
+
+
+# -- masked_softmax ----------------------------------------------------------------
+
+def attention_inputs(seed):
+    """Scores [2, 3, 4, 5] and a [2, 1, 1, 5] key mask: sentence 0 has three
+    real keys, sentence 1 only key 0, its criterion token."""
+    scores = make_rng(seed).normal(size=(2, 3, 4, 5)) * 4.0
+    valid = np.array([[True, True, True, False, False],
+                      [True, False, False, False, False]])
+    bias = np.where(valid, 0.0, -1e9).astype(ad.get_dtype())[:, None, None, :]
+    return scores, bias
+
+
+def test_masked_softmax_equals_composite():
+    # float64 output and gradient are bit-identical to softmax(scores * scale + bias)
+    scores, bias = attention_inputs(20)
+    w = Tensor(make_rng(21).normal(size=scores.shape))
+    scale = 1.0 / math.sqrt(2)
+    fused, ref = parameter(scores), parameter(scores.copy())
+    y = masked_softmax(fused, scale, bias)
+    y_ref = softmax(ref * scale + bias)
+    assert np.array_equal(y.data, y_ref.data)
+    backward((y * w).sum())
+    backward((y_ref * w).sum())
+    assert np.array_equal(fused.grad, ref.grad)
+
+
+def test_masked_softmax_grad():
+    scores, bias = attention_inputs(22)
+    x = parameter(scores)
+    w = Tensor(make_rng(23).normal(size=scores.shape))
+
+    def loss():
+        return (masked_softmax(x, 0.7, bias) * w).sum()
+
+    backward(loss())
+    assert_grads_match(lambda: loss().item(), [x])
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_masked_softmax_masked_keys_get_zero(dtype):
+    ad.set_dtype(dtype)
+    try:
+        scores, bias = attention_inputs(24)
+        y = masked_softmax(Tensor(scores), 0.5, bias).data
+    finally:
+        ad.set_dtype("float64")
+    assert (y[0, ..., 3:] == 0.0).all() and (y[0, ..., :3] > 0.0).all()
+    assert np.abs(y.sum(axis=-1) - 1.0).max() < 1e-6
+    # only the criterion token is a real key: every row is one-hot on it
+    assert (y[1, ..., 0] == 1.0).all() and (y[1, ..., 1:] == 0.0).all()
+
+
+def test_masked_softmax_rejects_mask_that_grows_scores():
+    scores, _ = attention_inputs(25)
+    with pytest.raises(ValueError, match="broadcast"):
+        masked_softmax(Tensor(scores[:, :, :1, :]), 1.0, np.zeros((2, 1, 4, 5)))
 
 
 # -- layer_norm --------------------------------------------------------------------
@@ -372,6 +430,7 @@ def every_op_graph(seed):
     bias = parameter(rng.normal(size=6))
     ids = rng.integers(0, 7, size=5)
     targets = rng.integers(0, 6, size=5)
+    key_bias = np.array([0.0, -1e9, 0.0, 0.0, -1e9, 0.0])
 
     def loss():
         h = embedding_lookup(table, ids)
@@ -379,7 +438,8 @@ def every_op_graph(seed):
         h = layer_norm(h.tanh() + h.sigmoid() + h.relu(), g, bias)
         h = h.reshape(5, 6)[1:, :]
         p = softmax(h)
-        return cross_entropy(h, targets[1:]) + (p * p).sum() * 0.5
+        m = masked_softmax(h, 0.5, key_bias)
+        return cross_entropy(h, targets[1:]) + (p * p).sum() * 0.5 + (m * m).sum()
 
     return [table, w, b, g, bias], loss
 

@@ -204,6 +204,16 @@ def test_evaluate_empty_gold_exits_data(trained, tmp_path):
     assert proc.stdout == "" and not report.exists()
 
 
+@pytest.mark.parametrize("batch_size", ["0", "-1"])
+def test_evaluate_batch_size_below_one_exits_config(trained, batch_size):
+    d = trained
+    proc = run_cli("evaluate", "--checkpoint", str(d / "model.ckpt"),
+                   "--vocab", str(d / "vocab.txt"), "--gold", f"ctb={d / 'ctb.txt'}",
+                   "--batch-size", batch_size, expect=2)
+    assert "batch_size" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 # -- checkpoint files ----------------------------------------------------------------
 
 def edit_header(blob: bytes, edit) -> bytes:
@@ -397,6 +407,7 @@ def test_synth_writes_splits(tmp_path):
             path = tmp_path / "synth" / f"{name}.{split}.txt"
             assert path.exists()
             assert len(path.read_text(encoding="utf-8").splitlines()) == n
+    assert len(os.listdir(tmp_path / "synth")) == 6  # no temporary file left behind
     # parallel text across criteria
     a = (tmp_path / "synth" / "join.train.txt").read_text(encoding="utf-8").splitlines()
     b = (tmp_path / "synth" / "split.train.txt").read_text(encoding="utf-8").splitlines()
@@ -407,3 +418,12 @@ def test_synth_writes_splits(tmp_path):
 def test_synth_rejects_identical_rules(tmp_path):
     run_cli("synth", "--out-dir", str(tmp_path / "s2"),
             "--criteria", "a=run", "--criteria", "b=run", expect=2)
+
+
+def test_synth_out_dir_under_file_exits_data(tmp_path):
+    (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
+    target = str(tmp_path / "afile" / "sub")
+    proc = run_cli("synth", "--out-dir", target, "--train-sentences", "5",
+                   "--dev-sentences", "1", "--test-sentences", "1", expect=3)
+    assert target in proc.stderr and "Traceback" not in proc.stderr
+    assert os.listdir(tmp_path) == ["afile"]

@@ -344,16 +344,26 @@ def test_forward_shapes(vocab):
 
 
 def test_batch_padding_consistent_with_single(vocab):
-    # same sentence alone vs padded next to a longer one: same prediction
+    # each sentence alone vs padded in batches that predict cuts by length:
+    # same prediction, returned in input order
     m = tiny_model(vocab)
-    short = prepare_sentence(RawSentence(["李娜"], 0), vocab)
-    long = prepare_sentence(RawSentence(["李娜", "进入", "半决赛"], 1), vocab)
-    solo_labels, solo_criteria = m.predict([short], vocab)
-    for batch_size in (1, 2):
-        labels, criteria = m.predict([short, long], vocab, batch_size=batch_size)
-        assert [len(x) for x in labels] == [len(short), len(long)]
-        assert np.array_equal(solo_labels[0], labels[0])
-        assert criteria.shape == (2,) and criteria[0] == solo_criteria[0]
+    m.params["dec.w_o"].data[:] = make_rng(9).normal(size=(4, 16))  # well-separated labels
+    m.params["cls.w_c"].data[:] = make_rng(10).normal(size=(2, 16))
+    for cid in range(2):  # criterion tokens far apart, so both criteria get predicted
+        m.params["tok_emb"].data[vocab.criterion_token_id(cid)] = make_rng(11 + cid).normal(size=16)
+    text = "李娜进入半决赛"
+    sentences = [prepare_sentence(RawSentence([text[:n]], i % 2), vocab)
+                 for i, n in enumerate((5, 1, 7, 3, 2, 6, 4, 7, 1, 3))]
+    solo = [m.predict([s], vocab) for s in sentences]
+    assert len({tuple(labels[0]) for labels, _ in solo}) > 2  # predictions tell sentences apart
+    assert len({int(criteria[0]) for _, criteria in solo}) == 2
+    for batch_size in (1, 2, 3, 64):
+        labels, criteria = m.predict(sentences, vocab, batch_size=batch_size)
+        assert [len(x) for x in labels] == [len(s) for s in sentences]
+        for x, (solo_labels, _) in zip(labels, solo):
+            assert np.array_equal(x, solo_labels[0])
+        assert criteria.dtype == np.int64
+        assert criteria.tolist() == [int(c[0]) for _, c in solo]
 
 
 # -- segmentation -------------------------------------------------------------------
