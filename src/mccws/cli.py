@@ -159,8 +159,13 @@ def cmd_segment(checkpoint_path, vocab_path, criterion, input_path, output_path)
         src = stack.enter_context(open(input_path, encoding="utf-8")) if input_path else sys.stdin
         dst = (stack.enter_context(cp.open_output(output_path, "w", encoding="utf-8"))
                if output_path else sys.stdout)
-        for line in src:
-            words = model.segment_text(line.rstrip("\n"), criterion, vocab)
+        limit = model.config.max_len - 1
+        for number, line in enumerate(src, 1):
+            text = line.rstrip("\n")
+            if len(text) > limit and len(cp.text_tokens(text)) > limit:  # tokens <= chars
+                click.echo(f"note: line {number} has more than {limit} tokens;"
+                           " it is segmented in windows of at most that many", err=True)
+            words = model.segment_text(text, criterion, vocab)
             dst.write(" ".join(words) + "\n")
             dst.flush()
 

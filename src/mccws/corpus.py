@@ -72,6 +72,13 @@ def word_tokens(word: str) -> list[str]:
     return replace_runs(normalize_width(word))
 
 
+def text_tokens(text: str) -> list[tuple[str, tuple[int, int]]]:
+    """Raw input text as model tokens with their spans in text. Whitespace
+    never occurs inside a training sentence, so it is dropped."""
+    return [(t, span) for t, span in replace_runs_with_spans(normalize_width(text))
+            if not t.isspace()]
+
+
 def encode_bmes(spans: list[tuple[int, int]], length: int) -> list[int]:
     """Encode a span partition of [0, length) as per-character BMES ids.
 

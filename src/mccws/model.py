@@ -25,6 +25,14 @@ from .autodiff import (
 from .errors import ConfigError, DataError
 
 NEG_INF = -1e9
+# predict grows a batch only while its [B, H, L+1, L+1] attention-score array
+# has at most this many cells. masked_softmax and the score matmuls stream
+# that array several times, so a batch whose array outgrows a core's L2 cache
+# (2 MiB, i.e. 2^18 float64 cells, on the 2-vCPU Xeon it was sized on) waits
+# on memory. On the benchmark's 4-120-token eval lines (4 heads, batch 64),
+# predict ran 515, 563, 577, 525 and 474 sent/s at 2^16 to 2^20 cells, and
+# 371 sent/s uncapped (medians of 8, one BLAS thread).
+SCORE_CELLS = 1 << 18
 
 
 @dataclass
@@ -75,7 +83,14 @@ class ModelConfig:
 
 @dataclass
 class ForwardOutput:
-    """Per-batch forward results; tensors keep their tape links."""
+    """Per-batch forward results; tensors keep their tape links.
+
+    Nothing in the package reads hidden, fused or contextual, but they stay:
+    in training they keep three activations alive until the next step's
+    forward, which keeps glibc from trimming the freed heap after every step.
+    Without them a 4000-sentence epoch took ~4x the minor page faults and
+    ran ~10% slower (train_sent_per_s).
+    """
 
     hidden: Tensor          # [B, L+1, d_h]
     fused: Tensor           # [B, L, d_h]
@@ -319,18 +334,28 @@ class Model:
         """Eval-mode forward over batches of at most batch_size sentences.
 
         Sentences are batched in order of length (a stable sort), so a batch
-        pads to little more than its longest sentence; results come back in
-        input order. Returns (labels, criteria): the greedy per-position BMES
-        ids of each sentence, trimmed to its length (no CRF), and the
-        criterion classifier's argmax per sentence [N].
+        pads to little more than its longest sentence; a batch also stops
+        growing before its attention scores pass SCORE_CELLS (a sentence too
+        long for that runs alone). Results come back in input order. Returns
+        (labels, criteria): the greedy per-position BMES ids of each
+        sentence, trimmed to its length (no CRF), and the criterion
+        classifier's argmax per sentence [N].
         """
         if batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-        order = np.argsort([len(s) for s in sentences], kind="stable")
+        sizes = [len(s) for s in sentences]
+        order = np.argsort(sizes, kind="stable")
         labels: list[np.ndarray] = [None] * len(sentences)
         criteria = np.zeros(len(sentences), dtype=np.int64)
-        for start in range(0, len(order), batch_size):
-            rows = order[start:start + batch_size]
+        start = 0
+        while start < len(order):
+            stop = start + 1
+            while (stop < len(order) and stop - start < batch_size
+                   and (stop - start + 1) * self.config.heads * (sizes[order[stop]] + 1) ** 2
+                   <= SCORE_CELLS):
+                stop += 1
+            rows = order[start:stop]
+            start = stop
             ids, bi, lengths, _, _ = pack_batch([sentences[i] for i in rows], vocab)
             with no_grad():
                 out = self.forward_batch(ids, bi, lengths)
@@ -344,33 +369,45 @@ class Model:
         """Segment raw text under the named criterion.
 
         Latin/digit runs are re-emitted verbatim from the original text.
-        Whitespace never occurs inside a training sentence, so it is dropped
-        before the forward pass and always ends a word.
+        Whitespace is dropped before the forward pass and always ends a word.
+        Text of more than max_len - 1 tokens is segmented in consecutive
+        windows that fit (see text_windows).
         """
         if criterion_name not in vocab.criteria:
             raise ConfigError(
                 f"unknown criterion {criterion_name!r}; registered: {sorted(vocab.criteria)}")
-        toks_spans = [(t, span) for t, span in cp.replace_runs_with_spans(cp.normalize_width(text))
-                      if not t.isspace()]
-        if not toks_spans:
-            return []
-        tokens = [t for t, _ in toks_spans]
-        if len(tokens) + 1 > self.config.max_len:
-            raise DataError(
-                f"sentence of {len(tokens)} tokens exceeds max_len {self.config.max_len}")
+        toks_spans = cp.text_tokens(text)
         cid = vocab.criteria[criterion_name]
-        aug = [vocab.criterion_token_id(cid)] + [vocab.uni_id(t) for t in tokens]
-        ids = np.array([aug], dtype=np.int64)
-        bi = np.array([cp.make_bigrams(tokens, vocab)], dtype=np.int64)
-        with no_grad():
-            out = self.forward_batch(ids, bi, np.array([len(tokens)]))
-        labels = np.argmax(out.label_logits.data[0], axis=-1)
         words = []
-        for s, e in cp.decode_bmes(labels.tolist()):
-            lo = toks_spans[s][1][0]
-            hi = toks_spans[e - 1][1][1]
-            words.extend(text[lo:hi].split())  # the gaps between kept tokens are whitespace
+        for lo, hi in text_windows([span for _, span in toks_spans], self.config.max_len - 1):
+            window = toks_spans[lo:hi]
+            tokens = [t for t, _ in window]
+            aug = [vocab.criterion_token_id(cid)] + [vocab.uni_id(t) for t in tokens]
+            ids = np.array([aug], dtype=np.int64)
+            bi = np.array([cp.make_bigrams(tokens, vocab)], dtype=np.int64)
+            with no_grad():
+                out = self.forward_batch(ids, bi, np.array([len(tokens)]))
+            labels = np.argmax(out.label_logits.data[0], axis=-1)
+            for s, e in cp.decode_bmes(labels.tolist()):
+                # the gaps between kept tokens are whitespace
+                words.extend(text[window[s][1][0]:window[e - 1][1][1]].split())
         return words
+
+
+def text_windows(spans: list[tuple[int, int]], limit: int) -> list[tuple[int, int]]:
+    """Cut a token sequence, given by each token's span in its text, into
+    consecutive (start, stop) windows of at most limit tokens. Each cut goes
+    at the last whitespace gap inside the window, or after limit tokens when
+    the window has none."""
+    windows, start = [], 0
+    while len(spans) - start > limit:
+        stop = start + limit
+        cut = next((i for i in range(stop, start, -1) if spans[i - 1][1] < spans[i][0]), stop)
+        windows.append((start, cut))
+        start = cut
+    if start < len(spans):
+        windows.append((start, len(spans)))
+    return windows
 
 
 def pack_batch(sentences: list[cp.Sentence], vocab: cp.Vocab):

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import corpus as cp
 from .autodiff import backward, make_rng, zero_grads
-from .errors import DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError
 from .metrics import EvalReport, evaluate_criterion, mean_f1
 from .model import Model, pack_batch
 from .optim import AdamW, WarmupLinearSchedule
@@ -25,11 +25,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 0:
-            raise DataError("epochs must be >= 0")
+            raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
-            raise DataError("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
         if self.eval_every < 1:
-            raise DataError("eval_every must be >= 1")
+            raise ConfigError("eval_every must be >= 1")
 
 
 @dataclass

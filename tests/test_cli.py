@@ -98,6 +98,16 @@ def test_train_divergence_exit_code(workdir, tmp_path):
             "--d-ff", "32", "--max-len", "32", expect=4)
 
 
+@pytest.mark.parametrize("flag,value", [("--epochs", "-1"), ("--batch-size", "0"),
+                                        ("--eval-every", "0")])
+def test_train_config_out_of_range_exits_config(workdir, tmp_path, flag, value):
+    proc = run_cli("train", "--corpus", f"ctb={workdir / 'ctb.txt'}",
+                   "--vocab", str(workdir / "vocab.txt"),
+                   "--out", str(tmp_path / "x.ckpt"), flag, value, expect=2)
+    assert flag[2:].replace("-", "_") in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 def test_train_seed_reproducible(workdir, tmp_path):
     args = ["train", "--corpus", f"ctb={workdir / 'ctb.txt'}",
             "--corpus", f"pku={workdir / 'pku.txt'}",
@@ -127,6 +137,30 @@ def test_segment_table_rows(trained):
                    "--vocab", str(d / "vocab.txt"), "--criterion", "pku",
                    "--input", str(d / "input.txt"))
     assert proc.stdout == "李 娜 进入 半 决赛\n"
+
+
+def test_segment_overlong_line_is_windowed(trained, tmp_path):
+    # max_len 32: a line of ~3 x 32 tokens is cut into windows of at most 31
+    # tokens, at its last whitespace gap where one falls inside the window
+    d = trained
+    long_line = "李娜进入半决赛" * 6 + " " + " ".join(["李娜 进入半决赛"] * 7)
+    assert 90 <= len(long_line.replace(" ", "")) <= 100
+    (tmp_path / "in.txt").write_text(long_line + "\n李娜进入半决赛\n", encoding="utf-8")
+    proc = run_cli("segment", "--checkpoint", str(d / "model.ckpt"),
+                   "--vocab", str(d / "vocab.txt"), "--criterion", "ctb",
+                   "--input", str(tmp_path / "in.txt"))
+    first, second = proc.stdout.splitlines()
+    assert second == "李娜 进入 半决赛"
+    words = first.split(" ")
+    assert "".join(words) == long_line.replace(" ", "")
+    for chunk in long_line.split():  # no word crosses a whitespace gap
+        got = ""
+        while got != chunk:
+            got += words.pop(0)
+            assert chunk.startswith(got)
+    assert words == []
+    assert "line 1" in proc.stderr and "line 2" not in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_segment_empty_input(trained, tmp_path):

@@ -1,15 +1,17 @@
 import gc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from mccws import corpus as cp
+from mccws import model as model_mod
 from mccws.autodiff import Tensor, backward, make_rng, no_grad, softmax, zero_grads
 from mccws.checkpoint import load_checkpoint, save_checkpoint
 from mccws.corpus import RawSentence, Vocab, prepare_sentence
 from mccws.errors import ConfigError, DataError
-from mccws.model import Model, ModelConfig, pack_batch, param_shapes
+from mccws.model import Model, ModelConfig, pack_batch, param_shapes, text_windows
 
 from gradutil import assert_grads_match
 
@@ -343,27 +345,50 @@ def test_forward_shapes(vocab):
         assert out.gate_means.shape == (1, T)
 
 
-def test_batch_padding_consistent_with_single(vocab):
-    # each sentence alone vs padded in batches that predict cuts by length:
-    # same prediction, returned in input order
-    m = tiny_model(vocab)
+def test_batch_padding_consistent_with_single(vocab, monkeypatch):
+    # each sentence alone vs padded in batches that predict cuts by length,
+    # by batch_size and by SCORE_CELLS: same prediction, returned in input order
+    m = tiny_model(vocab, max_len=128)
     m.params["dec.w_o"].data[:] = make_rng(9).normal(size=(4, 16))  # well-separated labels
     m.params["cls.w_c"].data[:] = make_rng(10).normal(size=(2, 16))
     for cid in range(2):  # criterion tokens far apart, so both criteria get predicted
         m.params["tok_emb"].data[vocab.criterion_token_id(cid)] = make_rng(11 + cid).normal(size=16)
-    text = "李娜进入半决赛"
-    sentences = [prepare_sentence(RawSentence([text[:n]], i % 2), vocab)
-                 for i, n in enumerate((5, 1, 7, 3, 2, 6, 4, 7, 1, 3))]
+    text = "李娜进入半决赛" * 19
+    # short ones, then long ones: batch_size 64 takes them all in one batch
+    # unless SCORE_CELLS splits it (2 heads: at most 8 rows of 127 tokens)
+    sizes = (5, 1, 7, 3, 2, 6, 4, 7, 1, 3) + tuple(range(127, 60, -3))
+    sentences = [prepare_sentence(RawSentence([text[i % 7:i % 7 + n]], i % 2), vocab)
+                 for i, n in enumerate(sizes)]
     solo = [m.predict([s], vocab) for s in sentences]
     assert len({tuple(labels[0]) for labels, _ in solo}) > 2  # predictions tell sentences apart
     assert len({int(criteria[0]) for _, criteria in solo}) == 2
-    for batch_size in (1, 2, 3, 64):
-        labels, criteria = m.predict(sentences, vocab, batch_size=batch_size)
-        assert [len(x) for x in labels] == [len(s) for s in sentences]
-        for x, (solo_labels, _) in zip(labels, solo):
-            assert np.array_equal(x, solo_labels[0])
-        assert criteria.dtype == np.int64
-        assert criteria.tolist() == [int(c[0]) for _, c in solo]
+
+    batches = []
+    forward_batch = m.forward_batch
+
+    def recording_forward(ids, bi, lengths, **kw):
+        batches.append((ids.shape, [tuple(row[:n + 1]) for row, n in zip(ids.tolist(), lengths)]))
+        return forward_batch(ids, bi, lengths, **kw)
+
+    monkeypatch.setattr(m, "forward_batch", recording_forward)
+    rows = Counter(tuple(pack_batch([s], vocab)[0][0]) for s in sentences)
+    # the module's cap, then one small enough that long sentences run alone
+    for cells in (model_mod.SCORE_CELLS, 2 * 24 ** 2):
+        monkeypatch.setattr(model_mod, "SCORE_CELLS", cells)
+        for batch_size in (1, 2, 3, 64):
+            batches.clear()
+            labels, criteria = m.predict(sentences, vocab, batch_size=batch_size)
+            assert [len(x) for x in labels] == [len(s) for s in sentences]
+            for x, (solo_labels, _) in zip(labels, solo):
+                assert np.array_equal(x, solo_labels[0])
+            assert criteria.dtype == np.int64
+            assert criteria.tolist() == [int(c[0]) for _, c in solo]
+            for (B, L1), _ in batches:
+                assert B <= batch_size
+                assert B == 1 or B * m.config.heads * L1 ** 2 <= cells, (B, L1)
+            assert Counter(row for _, batch in batches for row in batch) == rows
+        assert len(batches) > 2  # batch_size 64 was split by the cap
+        assert any(B == 1 and 2 * L1 ** 2 > cells for (B, L1), _ in batches) == (cells < 2 * 128 ** 2)
 
 
 # -- segmentation -------------------------------------------------------------------
@@ -380,13 +405,26 @@ def test_segment_unknown_criterion(vocab):
 
 
 def test_segment_words_rejoin_to_original(vocab):
-    # whitespace ends a word and is dropped; every other character is kept
+    # whitespace ends a word and is dropped; every other character is kept,
+    # also in text of more than max_len - 1 tokens, segmented in windows
     m = tiny_model(vocab)
     for text in ("李娜进入半决赛", "李娜2024年ok了", "ＡＢＣ１２３李娜", "abc 123",
-                 "天地 玄\r", " 李娜\t进入\u3000半决赛 ", " \r\n"):
+                 "天地 玄\r", " 李娜\t进入\u3000半决赛 ", " \r\n",
+                 "李娜进入半决赛" * 10, "李娜 进入半决赛 " * 10):
         words = m.segment_text(text, "pku", vocab)
         assert not any(ch.isspace() for word in words for ch in word), words
         assert "".join(words) == "".join(text.split())
+
+
+def test_text_windows_cut_at_last_gap():
+    def spans(text):
+        return [span for _, span in cp.text_tokens(text)]
+    assert text_windows([], 4) == []
+    assert text_windows(spans("abcd"), 4) == [(0, 1)]  # one <eng> token
+    assert text_windows(spans("李娜进入"), 4) == [(0, 4)]
+    assert text_windows(spans("李娜进入半决赛"), 3) == [(0, 3), (3, 6), (6, 7)]  # no gap: hard cuts
+    assert text_windows(spans("李娜 进入半 决赛"), 4) == [(0, 2), (2, 5), (5, 7)]
+    assert text_windows(spans("李娜进入 半决赛"), 4) == [(0, 4), (4, 7)]  # gap at the window's end
 
 
 def test_segment_agrees_with_batched_prediction(vocab):
