@@ -215,9 +215,9 @@ class Tensor:
             axes = tuple(reversed(range(self.data.ndim)))
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        inv = np.argsort(axes)
         out = _node(self.data.transpose(axes), (self,))
         if out._parents:
+            inv = sorted(range(len(axes)), key=axes.__getitem__)
             out._backward = lambda: self._accum(out.grad.transpose(inv))
         return out
 
@@ -354,16 +354,79 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float | None = None) 
     return out
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
+class Rows:
+    """The real rows of a padded array: the positions where valid [*shape]
+    is True, in row-major order. A padded array is [*shape, *features]; its
+    real rows, packed, are [count, *features]. When every position is real,
+    index is None and packing is a reshape."""
+
+    __slots__ = ("valid", "shape", "count", "index")
+
+    def __init__(self, valid):
+        self.valid = np.asarray(valid, dtype=bool)
+        self.shape = self.valid.shape
+        self.count = int(self.valid.sum())
+        self.index = None if self.count == self.valid.size else np.flatnonzero(self.valid)
+
+    def pack(self, a: np.ndarray) -> np.ndarray:
+        """The real rows [count, *features] of a padded array a."""
+        features = a.shape[len(self.shape):]
+        if self.index is None:
+            return a.reshape((self.count,) + features)
+        return a.reshape((-1,) + features)[self.index]
+
+
+def gather_rows(x: Tensor, rows: Rows) -> Tensor:
+    """Pack a padded x [*rows.shape, *features] into its real rows
+    [rows.count, *features]. Each row is taken once, so backward writes the
+    gradient back in place, with zeros at padding."""
+    if rows.index is None:
+        return x.reshape((rows.count,) + x.data.shape[len(rows.shape):])
+    out = _node(rows.pack(x.data), (x,))
+    if out._parents:
+        def back():
+            g = np.zeros((rows.valid.size,) + out.grad.shape[1:], dtype=out.grad.dtype)
+            g[rows.index] = out.grad
+            x._accum(g.reshape(x.data.shape), owned=True)
+        out._backward = back
+    return out
+
+
+def scatter_rows(x: Tensor, rows: Rows) -> Tensor:
+    """Unpack real rows x [rows.count, *features] into a padded
+    [*rows.shape, *features] array that is zero at padding; the inverse of
+    gather_rows, whose forward is this op's backward."""
+    features = x.data.shape[1:]
+    if rows.index is None:
+        return x.reshape(rows.shape + features)
+    data = np.zeros((rows.valid.size,) + features, dtype=x.data.dtype)
+    data[rows.index] = x.data
+    out = _node(data.reshape(rows.shape + features), (x,))
+    if out._parents:
+        out._backward = lambda: x._accum(rows.pack(out.grad), owned=True)
+    return out
+
+
+def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None,
+            rows: Rows | None = None) -> Tensor:
     """Zero each element with probability p and rescale survivors by 1/(1-p)
-    in training mode; identity in eval mode."""
+    in training mode; identity in eval mode.
+
+    When x holds the real rows of a padded array, rows says which: the mask
+    is drawn over the padded shape and its real rows kept, so the generator
+    advances as it would over the padded array.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability {p} outside [0, 1)")
     if not training or p == 0.0:
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    keep = (rng.random(x.data.shape) >= p).astype(get_dtype()) / (1.0 - p)
+    if rows is None:
+        draw = rng.random(x.data.shape)
+    else:
+        draw = rows.pack(rng.random(rows.shape + x.data.shape[1:]))
+    keep = (draw >= p).astype(get_dtype()) / (1.0 - p)
     out = _node(x.data * keep, (x,))
     if out._parents:
         out._backward = lambda: x._accum(out.grad * keep, owned=True)
@@ -386,11 +449,11 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return out
 
 
-def cross_entropy(logits: Tensor, targets, mask=None, reduction: str = "mean") -> Tensor:
+def cross_entropy(logits: Tensor, targets, reduction: str = "mean") -> Tensor:
     """Negative log likelihood of integer targets under softmax(logits).
 
-    logits are [N, K]; mask, when given, marks the positions that count
-    (nonzero = keep). "mean" averages over kept positions, "sum" adds them.
+    logits are [N, K] with N >= 1; "mean" averages over the N rows, "sum"
+    adds them.
     """
     if logits.data.ndim != 2:
         raise ValueError("cross_entropy expects [N, K] logits")
@@ -402,26 +465,20 @@ def cross_entropy(logits: Tensor, targets, mask=None, reduction: str = "mean") -
         raise ValueError(f"targets shape {targets.shape} does not match logits rows {n}")
     if targets.size and (targets.min() < 0 or targets.max() >= k):
         raise ValueError(f"target id out of range [0, {k})")
-    if mask is None:
-        keep = np.ones(n, dtype=bool)
-    else:
-        keep = np.asarray(mask) != 0
-    n_kept = int(keep.sum())
-    if n_kept == 0:
-        raise ValueError("cross_entropy over an all-masked batch")
+    if n == 0:
+        raise ValueError("cross_entropy over an empty batch")
 
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     nll = lse - shifted[np.arange(n), targets]
-    total = float(nll[keep].sum())
-    scale = 1.0 / n_kept if reduction == "mean" else 1.0
+    total = float(nll.sum())
+    scale = 1.0 / n if reduction == "mean" else 1.0
     out = _node(np.asarray(total * scale), (logits,))
     if out._parents:
         def back():
             p = np.exp(shifted)
             p /= p.sum(axis=1, keepdims=True)
             p[np.arange(n), targets] -= 1.0
-            p[~keep] = 0.0
             logits._accum(p * (out.grad * scale), owned=True)
         out._backward = back
     return out

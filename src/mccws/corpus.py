@@ -34,6 +34,9 @@ _WIDTH_TABLE = {cp: cp - 0xFEE0 for cp in range(_FULLWIDTH_LO, _FULLWIDTH_HI + 1
 _WIDTH_TABLE[0x3000] = 0x20  # ideographic space
 
 _RUN_RE = re.compile(r"([A-Za-z]+)|([0-9]+)|(.)", re.DOTALL)
+# What normalize_width changes or can start a Latin/digit run; a word without
+# any of these is one token per codepoint.
+_RUN_OR_WIDE_RE = re.compile("[A-Za-z0-9\uFF01-\uFF5E\u3000]")
 
 _CRITERION_NAME_RE = re.compile(r"^[a-z0-9_\-]+$")
 
@@ -69,6 +72,8 @@ def replace_runs_with_spans(text: str) -> list[tuple[str, tuple[int, int]]]:
 
 def word_tokens(word: str) -> list[str]:
     """Preprocess one gold word into its token sequence."""
+    if _RUN_OR_WIDE_RE.search(word) is None:
+        return list(word)
     return replace_runs(normalize_width(word))
 
 

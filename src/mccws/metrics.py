@@ -61,24 +61,6 @@ def f1_score(gold, pred, criterion: str = "") -> EvalReport:
                       pred_count=pred_count, gold_count=gold_count)
 
 
-def oracle_f1(gold, pred) -> tuple[float, float, float]:
-    """Test-only scorer: same quantities by naive pairwise span comparison."""
-    _check_lengths(gold, pred)
-    tp = pred_count = gold_count = 0
-    for g_spans, p_spans in zip(gold, pred):
-        gold_count += len(g_spans)
-        pred_count += len(p_spans)
-        for p_span in p_spans:
-            for g_span in g_spans:
-                if p_span == g_span:
-                    tp += 1
-                    break
-    p = tp / pred_count if pred_count else 0.0
-    r = tp / gold_count if gold_count else 0.0
-    f1 = 2.0 * tp / (pred_count + gold_count) if pred_count + gold_count else 0.0
-    return p, r, f1
-
-
 def oov_counts(tokens, gold, pred, lexicon) -> tuple[int, int]:
     """Count gold words whose surface is outside the training lexicon, and
     how many of those the prediction segments exactly.

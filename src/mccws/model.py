@@ -8,8 +8,9 @@ decoded per position into BMES label logits. The criterion-token row feeds
 an auxiliary criterion classifier so criterion information survives the
 forward pass.
 
-Weight matrices are stored [out, in]; activations are row-major
-[batch, position, features].
+Weight matrices are stored [out, in]. Activations are packed: one row per
+real position, sentence by sentence ([N, features], see autodiff.Rows).
+Only attention's scores use the padded [batch, position] layout.
 """
 
 import math
@@ -19,8 +20,8 @@ import numpy as np
 
 from . import corpus as cp
 from .autodiff import (
-    Tensor, cross_entropy, dropout, embedding_lookup, get_dtype, layer_norm,
-    masked_softmax, no_grad, parameter,
+    Rows, Tensor, cross_entropy, dropout, embedding_lookup, gather_rows, get_dtype,
+    layer_norm, masked_softmax, no_grad, parameter, scatter_rows,
 )
 from .errors import ConfigError, DataError
 
@@ -85,6 +86,12 @@ class ModelConfig:
 class ForwardOutput:
     """Per-batch forward results; tensors keep their tape links.
 
+    Rows are packed, sentence by sentence, over real positions only: N1 =
+    sum(lengths + 1) rows with each sentence's criterion token first, and
+    N = sum(lengths) character rows. Attention probabilities keep the padded
+    [B, heads, L', L'] layout (L' = L+1 in the encoder, L in the
+    contextualizer).
+
     Nothing in the package reads hidden, fused or contextual, but they stay:
     in training they keep three activations alive until the next step's
     forward, which keeps glibc from trimming the freed heap after every step.
@@ -92,12 +99,12 @@ class ForwardOutput:
     ran ~10% slower (train_sent_per_s).
     """
 
-    hidden: Tensor          # [B, L+1, d_h]
-    fused: Tensor           # [B, L, d_h]
-    contextual: Tensor      # [B, L, d_h]
-    label_logits: Tensor    # [B, L, len(LABELS)]
+    hidden: Tensor          # [N1, d_h]
+    fused: Tensor           # [N, d_h]
+    contextual: Tensor      # [N, d_h]
+    label_logits: Tensor    # [N, len(LABELS)]
     criterion_logits: Tensor  # [B, num_criteria]
-    gate_means: np.ndarray  # [B, L], mean gate activation per position
+    gate_means: np.ndarray  # [N], mean gate activation per character
     attn: dict = field(default_factory=dict)  # optional attention probs
 
 
@@ -185,57 +192,60 @@ class Model:
 
     # -- attention ----------------------------------------------------------
 
-    def _mha(self, x: Tensor, prefix: str, key_valid: np.ndarray,
-             training: bool, rng) -> tuple[Tensor, Tensor]:
-        """Multi-head self-attention over x [B, L, d_h]; key_valid [B, L]
-        marks positions allowed to be attended to."""
+    def _mha(self, x: Tensor, prefix: str, rows: Rows) -> tuple[Tensor, Tensor]:
+        """Multi-head self-attention over the real rows x [N, d_h] of a
+        padded [B, L] batch; only real positions are attended to. Q, K and V
+        are padded for the scores and the context is packed again before
+        the output projection."""
         p = self.params
-        B, L, d = x.shape
+        B, L = rows.shape
+        d = x.shape[-1]
         H = self.config.heads
         dk = d // H
 
         def split_heads(t):
-            return t.reshape(B, L, H, dk).transpose(0, 2, 1, 3)  # [B,H,L,dk]
+            return scatter_rows(t, rows).reshape(B, L, H, dk).transpose(0, 2, 1, 3)  # [B,H,L,dk]
 
         q = split_heads(_linear(x, p[f"{prefix}.wq"], p[f"{prefix}.bq"]))
         k = split_heads(_linear(x, p[f"{prefix}.wk"], p[f"{prefix}.bk"]))
         v = split_heads(_linear(x, p[f"{prefix}.wv"], p[f"{prefix}.bv"]))
 
         scores = q.matmul(k.transpose(0, 1, 3, 2))  # [B,H,L,L]
-        bias = np.where(key_valid, 0.0, NEG_INF).astype(get_dtype())
+        bias = np.where(rows.valid, 0.0, NEG_INF).astype(get_dtype())
         attn = masked_softmax(scores, 1.0 / math.sqrt(dk), bias[:, None, None, :])
-        ctx = attn.matmul(v).transpose(0, 2, 1, 3).reshape(B, L, d)
+        ctx = gather_rows(attn.matmul(v).transpose(0, 2, 1, 3), rows).reshape(rows.count, d)
         out = _linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
         return out, attn
 
-    def _drop(self, x: Tensor, training: bool, rng) -> Tensor:
-        return dropout(x, self.config.dropout_p, training, rng)
+    def _drop(self, x: Tensor, rows: Rows, training: bool, rng) -> Tensor:
+        return dropout(x, self.config.dropout_p, training, rng, rows=rows)
 
     # -- encoder ---------------------------------------------------------------
 
-    def encode_batch(self, ids: np.ndarray, key_valid: np.ndarray,
+    def encode_batch(self, ids: np.ndarray, rows: Rows,
                      training: bool = False, rng=None, attn_out: dict | None = None) -> Tensor:
         """Token + position embeddings through the encoder stack.
 
-        ids: [B, L] augmented and padded; key_valid: [B, L] with padding False.
-        Returns H [B, L, d_h]; row 0 of every sentence is its criterion token.
+        ids: [B, L] augmented and padded; rows: its real positions.
+        Returns H [rows.count, d_h], packed; each sentence's first row is
+        its criterion token.
         """
         p = self.params
         B, L = ids.shape
         if L > self.config.max_len:
             raise DataError(f"sequence length {L} exceeds max_len {self.config.max_len}")
-        tok = embedding_lookup(p["tok_emb"], ids)
-        pos = embedding_lookup(p["pos_emb"], np.broadcast_to(np.arange(L), (B, L)))
-        h = self._drop(tok + pos, training, rng)
+        tok = embedding_lookup(p["tok_emb"], rows.pack(ids))
+        pos = embedding_lookup(p["pos_emb"], rows.pack(np.broadcast_to(np.arange(L), (B, L))))
+        h = self._drop(tok + pos, rows, training, rng)
         for i in range(self.config.encoder_layers):
-            a, attn = self._mha(h, f"enc{i}.attn", key_valid, training, rng)
+            a, attn = self._mha(h, f"enc{i}.attn", rows)
             if attn_out is not None:
                 attn_out[f"enc{i}"] = attn.data
-            h = layer_norm(h + self._drop(a, training, rng),
+            h = layer_norm(h + self._drop(a, rows, training, rng),
                            p[f"enc{i}.ln1.gain"], p[f"enc{i}.ln1.bias"])
             f = _linear(_linear(h, p[f"enc{i}.ffn.w1"], p[f"enc{i}.ffn.b1"]).relu(),
                         p[f"enc{i}.ffn.w2"], p[f"enc{i}.ffn.b2"])
-            h = layer_norm(h + self._drop(f, training, rng),
+            h = layer_norm(h + self._drop(f, rows, training, rng),
                            p[f"enc{i}.ln2.gain"], p[f"enc{i}.ln2.bias"])
         return h
 
@@ -260,16 +270,16 @@ class Model:
 
     # -- contextualizer -------------------------------------------------------------
 
-    def contextualize_batch(self, fused: Tensor, key_valid: np.ndarray,
+    def contextualize_batch(self, fused: Tensor, rows: Rows,
                             training: bool = False, rng=None,
                             attn_out: dict | None = None) -> Tensor:
         """One attention block with residual and layer norm over the fused
-        sequence; no feed-forward of its own."""
+        character rows [rows.count, d_h]; no feed-forward of its own."""
         p = self.params
-        a, attn = self._mha(fused, "ctx.attn", key_valid, training, rng)
+        a, attn = self._mha(fused, "ctx.attn", rows)
         if attn_out is not None:
             attn_out["ctx"] = attn.data
-        return layer_norm(fused + self._drop(a, training, rng),
+        return layer_norm(fused + self._drop(a, rows, training, rng),
                           p["ctx.ln.gain"], p["ctx.ln.bias"])
 
     # -- decoders ----------------------------------------------------------------------
@@ -278,10 +288,10 @@ class Model:
         """Per-position logits over the BMES alphabet."""
         return _linear(contextual, self.params["dec.w_o"], self.params["dec.b_o"])
 
-    def classify_criterion(self, hidden: Tensor) -> Tensor:
-        """Criterion logits from the criterion-token row (row 0) only."""
-        h0 = hidden[:, 0, :]
-        return _linear(h0, self.params["cls.w_c"], self.params["cls.b_c"])
+    def classify_criterion(self, hidden: Tensor, rows: Rows) -> Tensor:
+        """Criterion logits [B, num_criteria] from the criterion-token rows
+        of hidden only; rows picks them out of hidden's rows."""
+        return _linear(gather_rows(hidden, rows), self.params["cls.w_c"], self.params["cls.b_c"])
 
     # -- full forward ----------------------------------------------------------------------
 
@@ -290,22 +300,22 @@ class Model:
                       collect_attn: bool = False) -> ForwardOutput:
         """ids: [B, L+1] augmented+padded; bigram_ids: [B, L]; lengths: [B]
         true character counts (excluding the criterion token)."""
-        B, L1 = ids.shape
-        L = L1 - 1
-        positions = np.arange(L1)
-        key_valid = positions[None, :] < (lengths + 1)[:, None]  # criterion token always valid
+        L1 = ids.shape[1]
+        tokens = Rows(np.arange(L1)[None, :] < (lengths + 1)[:, None])
+        chars = Rows(tokens.valid[:, 1:])
+        # each sentence's first row is its criterion token
+        first = tokens.pack(np.broadcast_to(np.arange(L1) == 0, tokens.shape))
         attn_out: dict | None = {} if collect_attn else None
-        H = self.encode_batch(ids, key_valid, training=training, rng=rng, attn_out=attn_out)
-        h_chars = H[:, 1:, :]
+        H = self.encode_batch(ids, tokens, training=training, rng=rng, attn_out=attn_out)
         e = None
         if self.config.use_bigram:
-            e = embedding_lookup(self.params["bigram_emb"], np.asarray(bigram_ids, dtype=np.int64))
-        fused, gate = self.fuse_batch(h_chars, e)
-        char_valid = key_valid[:, 1:]
-        O = self.contextualize_batch(fused, char_valid, training=training, rng=rng, attn_out=attn_out)
+            e = embedding_lookup(self.params["bigram_emb"],
+                                 chars.pack(np.asarray(bigram_ids, dtype=np.int64)))
+        fused, gate = self.fuse_batch(gather_rows(H, Rows(~first)), e)
+        O = self.contextualize_batch(fused, chars, training=training, rng=rng, attn_out=attn_out)
         label_logits = self.decode_labels(O)
-        criterion_logits = self.classify_criterion(H)
-        gate_means = gate.data.mean(axis=-1) if gate is not None else np.zeros((B, L))
+        criterion_logits = self.classify_criterion(H, Rows(first))
+        gate_means = gate.data.mean(axis=-1) if gate is not None else np.zeros(chars.count)
         return ForwardOutput(hidden=H, fused=fused, contextual=O,
                              label_logits=label_logits, criterion_logits=criterion_logits,
                              gate_means=gate_means, attn=attn_out or {})
@@ -320,10 +330,8 @@ class Model:
         if B == 0:
             raise DataError("empty batch")
         out = self.forward_batch(ids, bigram_ids, lengths, training=training, rng=rng)
-        L = L1 - 1
-        mask = (np.arange(L)[None, :] < lengths[:, None]).ravel()
-        flat_logits = out.label_logits.reshape(B * L, len(cp.LABELS))
-        label_nll = cross_entropy(flat_logits, np.asarray(labels).ravel(), mask=mask, reduction="sum")
+        targets = np.asarray(labels)[np.arange(L1 - 1)[None, :] < lengths[:, None]]
+        label_nll = cross_entropy(out.label_logits, targets, reduction="sum")
         crit_nll = cross_entropy(out.criterion_logits, criterion_ids, reduction="sum")
         return (label_nll + crit_nll) * (1.0 / B), out
 
@@ -360,8 +368,8 @@ class Model:
             with no_grad():
                 out = self.forward_batch(ids, bi, lengths)
             label_ids = np.argmax(out.label_logits.data, axis=-1)
-            for j, i in enumerate(rows):
-                labels[i] = label_ids[j, :lengths[j]]
+            for i, sent_labels in zip(rows, np.split(label_ids, np.cumsum(lengths)[:-1])):
+                labels[i] = sent_labels
             criteria[rows] = np.argmax(out.criterion_logits.data, axis=-1)
         return labels, criteria
 
@@ -387,7 +395,7 @@ class Model:
             bi = np.array([cp.make_bigrams(tokens, vocab)], dtype=np.int64)
             with no_grad():
                 out = self.forward_batch(ids, bi, np.array([len(tokens)]))
-            labels = np.argmax(out.label_logits.data[0], axis=-1)
+            labels = np.argmax(out.label_logits.data, axis=-1)
             for s, e in cp.decode_bmes(labels.tolist()):
                 # the gaps between kept tokens are whitespace
                 words.extend(text[window[s][1][0]:window[e - 1][1][1]].split())

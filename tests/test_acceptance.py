@@ -13,12 +13,13 @@ from mccws import trainer as tr
 from mccws.autodiff import backward, zero_grads
 from mccws.checkpoint import save_checkpoint
 from mccws.corpus import RawSentence, Vocab, decode_bmes, encode_bmes, prepare_sentence
-from mccws.metrics import f1_score, mean_f1, oracle_f1
+from mccws.metrics import f1_score, mean_f1
 from mccws.model import Model, ModelConfig, pack_batch
 from mccws.optim import AdamW, WarmupLinearSchedule
 from mccws.synth import SyntheticSpec, boundary_disagreement, generate_synthetic
 
 from gradutil import finite_diff, max_violation
+from scoreutil import oracle_f1
 
 
 def ok(msg):

@@ -5,8 +5,8 @@ import pytest
 
 from mccws import autodiff as ad
 from mccws.autodiff import (
-    Tensor, backward, cross_entropy, dropout, embedding_lookup, layer_norm,
-    make_rng, masked_softmax, parameter, softmax,
+    Rows, Tensor, backward, cross_entropy, dropout, embedding_lookup, gather_rows, layer_norm,
+    make_rng, masked_softmax, parameter, scatter_rows, softmax,
 )
 
 from gradutil import assert_grads_match, finite_diff, max_violation
@@ -261,6 +261,79 @@ def test_dropout_grad_with_frozen_mask():
     assert_grads_match(loss_fn, [x])
 
 
+def test_dropout_over_real_rows_draws_the_padded_mask():
+    # the mask of packed rows is the padded mask's real rows: same rng stream
+    valid = np.array([[True, True, False], [True, False, False]])
+    for rows in (Rows(valid), Rows(np.ones((2, 3), dtype=bool))):
+        padded = make_rng(0).normal(size=rows.shape + (4,))
+        x = Tensor(rows.pack(padded))
+        y = dropout(x, 0.5, training=True, rng=make_rng(12), rows=rows).data
+        expected = dropout(Tensor(padded), 0.5, training=True, rng=make_rng(12)).data
+        assert np.array_equal(y, rows.pack(expected))
+
+
+# -- row gather / scatter -----------------------------------------------------------
+
+PADDED_VALID = np.array([[True, True, False, False], [True, True, True, False],
+                         [False, False, False, False]])
+
+
+def test_rows_index_and_pack():
+    rows = Rows(PADDED_VALID)
+    assert rows.shape == (3, 4) and rows.count == 5
+    assert rows.index.tolist() == [0, 1, 4, 5, 6]
+    a = np.arange(24).reshape(3, 4, 2)
+    assert np.array_equal(rows.pack(a), a[PADDED_VALID])
+    dense = Rows(np.ones((2, 3), dtype=bool))
+    assert dense.index is None and dense.count == 6
+    assert np.array_equal(dense.pack(a[:2, :3]), a[:2, :3].reshape(6, 2))
+
+
+def test_gather_scatter_rows_values():
+    for valid in (PADDED_VALID, np.ones((2, 3), dtype=bool)):
+        rows = Rows(valid)
+        x = make_rng(13).normal(size=valid.shape + (2, 3))
+        packed = gather_rows(Tensor(x), rows)
+        assert np.array_equal(packed.data, x[valid])
+        padded = scatter_rows(packed, rows).data
+        assert padded.shape == x.shape
+        assert np.array_equal(padded[valid], x[valid])
+        assert not padded[~valid].any()  # zero at padding
+
+
+@pytest.mark.parametrize("valid", [PADDED_VALID, np.ones((2, 3), dtype=bool)])
+def test_gather_scatter_rows_grad(valid):
+    rows = Rows(valid)
+    rng = make_rng(14)
+    x = parameter(rng.normal(size=valid.shape + (3,)))
+    y = parameter(rng.normal(size=(rows.count, 3)))
+    w_packed = Tensor(rng.normal(size=(rows.count, 3)))
+    w_padded = Tensor(rng.normal(size=valid.shape + (3,)))
+
+    def loss():
+        return ((gather_rows(x, rows) * w_packed).tanh().sum()
+                + (scatter_rows(y, rows) * w_padded).sigmoid().sum())
+
+    backward(loss())
+    assert_grads_match(lambda: loss().item(), [x, y])
+    assert not x.grad[~valid].any()  # padding gets no gradient
+
+
+def test_row_ops_keep_float32():
+    ad.set_dtype("float32")
+    try:
+        for valid in (PADDED_VALID, np.ones((2, 3), dtype=bool)):
+            rows = Rows(valid)
+            x = parameter(np.ones(valid.shape + (2,)))
+            y = parameter(np.ones((rows.count, 2)))
+            packed, padded = gather_rows(x, rows), scatter_rows(y, rows)
+            assert packed.data.dtype == np.float32 and padded.data.dtype == np.float32
+            backward(packed.sum() + padded.sum())
+            assert x.grad.dtype == np.float32 and y.grad.dtype == np.float32
+    finally:
+        ad.set_dtype("float64")
+
+
 # -- embedding_lookup -----------------------------------------------------------------
 
 def test_embedding_first_row():
@@ -318,34 +391,32 @@ def test_cross_entropy_matches_direct_nll():
     assert abs(loss.item() - expected) < 1e-10
 
 
-def test_cross_entropy_mask_and_sum():
+def test_cross_entropy_mean_and_sum():
     rng = make_rng(7)
     raw = rng.normal(size=(4, 3))
     targets = [0, 1, 2, 0]
-    mask = [1, 1, 0, 0]
     probs = np.exp(raw) / np.exp(raw).sum(axis=1, keepdims=True)
     per_pos = [-math.log(probs[i, targets[i]]) for i in range(4)]
-    mean_loss = cross_entropy(Tensor(raw), targets, mask=mask)
-    sum_loss = cross_entropy(Tensor(raw), targets, mask=mask, reduction="sum")
-    assert abs(mean_loss.item() - (per_pos[0] + per_pos[1]) / 2) < 1e-12
-    assert abs(sum_loss.item() - (per_pos[0] + per_pos[1])) < 1e-12
+    mean_loss = cross_entropy(Tensor(raw), targets)
+    sum_loss = cross_entropy(Tensor(raw), targets, reduction="sum")
+    assert abs(mean_loss.item() - sum(per_pos) / 4) < 1e-12
+    assert abs(sum_loss.item() - sum(per_pos)) < 1e-12
 
 
-def test_cross_entropy_all_masked_rejected():
-    with pytest.raises(ValueError):
-        cross_entropy(Tensor(np.zeros((2, 3))), [0, 1], mask=[0, 0])
+def test_cross_entropy_empty_rejected():
+    with pytest.raises(ValueError, match="empty"):
+        cross_entropy(Tensor(np.zeros((0, 3))), [])
 
 
 def test_cross_entropy_grad():
     rng = make_rng(8)
     x = parameter(rng.normal(size=(6, 4)))
     targets = rng.integers(0, 4, size=6)
-    mask = np.array([1, 1, 1, 1, 0, 1])
 
     def loss_fn():
-        return cross_entropy(x, targets, mask=mask).item()
+        return cross_entropy(x, targets).item()
 
-    backward(cross_entropy(x, targets, mask=mask))
+    backward(cross_entropy(x, targets))
     assert_grads_match(loss_fn, [x])
 
 
@@ -428,20 +499,27 @@ def every_op_graph(seed):
     b = parameter(rng.normal(size=6))
     g = parameter(rng.normal(size=6))
     bias = parameter(rng.normal(size=6))
+    padded = parameter(rng.normal(size=(3, 4, 6)))  # real rows gathered straight from it
+    packed = parameter(rng.normal(size=(5, 6)))  # scattered straight into padded rows
+    whole = parameter(rng.normal(size=(4, 6)))  # the same, with no padding
     ids = rng.integers(0, 7, size=5)
     targets = rng.integers(0, 6, size=5)
     key_bias = np.array([0.0, -1e9, 0.0, 0.0, -1e9, 0.0])
+    rows = Rows(PADDED_VALID)
+    dense = Rows(np.ones((2, 2), dtype=bool))
 
     def loss():
         h = embedding_lookup(table, ids)
         h = h.matmul(w.transpose()) + b
         h = layer_norm(h.tanh() + h.sigmoid() + h.relu(), g, bias)
-        h = h.reshape(5, 6)[1:, :]
+        h = gather_rows(scatter_rows(h, rows) * scatter_rows(packed, rows), rows)
+        h = (h * gather_rows(padded, rows)).reshape(5, 6)[1:, :]
+        h = h * gather_rows(scatter_rows(whole, dense), dense)
         p = softmax(h)
         m = masked_softmax(h, 0.5, key_bias)
         return cross_entropy(h, targets[1:]) + (p * p).sum() * 0.5 + (m * m).sum()
 
-    return [table, w, b, g, bias], loss
+    return [table, w, b, g, bias, padded, packed, whole], loss
 
 
 def test_every_op_composite_fd_multiseed():

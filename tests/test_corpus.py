@@ -8,7 +8,7 @@ from mccws import corpus
 from mccws.corpus import (
     BOS, ENG, LABELS, NUM, RawSentence, Vocab, decode_bmes, encode_bmes,
     load_corpus, make_bigrams, normalize_width, prepare_sentence,
-    replace_runs, replace_runs_with_spans, split_long,
+    replace_runs, replace_runs_with_spans, split_long, word_tokens,
 )
 from mccws.errors import ConfigError, DataError
 from mccws.model import pack_batch
@@ -62,6 +62,20 @@ def test_replace_runs_no_runs():
 
 def test_replace_runs_two_runs():
     assert replace_runs("abc123") == [ENG, NUM]
+
+
+# full-width forms at and just past both ends of U+FF01..U+FF5E, the
+# ideographic space, Latin letters, digits and CJK
+_WIDTH_EDGES = "\uff00\uff01\uff10\uff21\uff41\uff5e\uff5f\u3000aZ09 李娜"
+
+
+@settings(deadline=None)
+@given(st.text(st.one_of(st.characters(), st.sampled_from(_WIDTH_EDGES))))
+@example("李娜")
+@example("ＡＢ１２李\u3000")
+def test_word_tokens_equal_the_regex_path(word):
+    # words with nothing to normalize or collapse skip the regex
+    assert word_tokens(word) == replace_runs(normalize_width(word))
 
 
 def test_replace_runs_spans_cover_input():

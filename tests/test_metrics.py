@@ -3,9 +3,11 @@ import random
 import pytest
 
 from mccws.metrics import (
-    EvalReport, evaluate_criterion, f1_score, mean_f1, oov_counts, oracle_f1,
+    EvalReport, evaluate_criterion, f1_score, mean_f1, oov_counts,
     report_jsonl, report_record, report_table,
 )
+
+from scoreutil import oracle_f1
 
 
 def random_partition(rng, length):

@@ -7,7 +7,7 @@ import pytest
 
 from mccws import corpus as cp
 from mccws import model as model_mod
-from mccws.autodiff import Tensor, backward, make_rng, no_grad, softmax, zero_grads
+from mccws.autodiff import Rows, Tensor, backward, make_rng, no_grad, softmax, zero_grads
 from mccws.checkpoint import load_checkpoint, save_checkpoint
 from mccws.corpus import RawSentence, Vocab, prepare_sentence
 from mccws.errors import ConfigError, DataError
@@ -41,13 +41,12 @@ def sentence_inputs(vocab, words, cid):
 def encode_one(m, ids, **kw):
     """Encoder over a batch of one unpadded sentence; returns H [T+1, d_h]."""
     ids = np.asarray(ids).reshape(1, -1)
-    return m.encode_batch(ids, np.ones(ids.shape, dtype=bool), **kw)[0]
+    return m.encode_batch(ids, Rows(np.ones(ids.shape, dtype=bool)), **kw)
 
 
 def contextualize_one(m, fused):
     """Contextualizer over a batch of one unpadded sequence [T, d_h]."""
-    T = fused.shape[0]
-    return m.contextualize_batch(fused.reshape(1, T, -1), np.ones((1, T), dtype=bool))[0]
+    return m.contextualize_batch(fused, Rows(np.ones((1, fused.shape[0]), dtype=bool)))
 
 
 # -- config ------------------------------------------------------------------
@@ -221,21 +220,24 @@ def test_argmax_shift_invariance(vocab):
 def test_classify_criterion_uses_row0_only(vocab):
     m = tiny_model(vocab)
     rng = make_rng(8)
-    h = rng.normal(size=(1, 6, 16))
-    logits = m.classify_criterion(Tensor(h)).data
+    h = rng.normal(size=(6, 16))
+    first = Rows(np.arange(6) == 0)
+    logits = m.classify_criterion(Tensor(h), first).data
+    assert logits.shape == (1, 2)
     h2 = h.copy()
-    h2[0, 1:] = rng.normal(size=(5, 16))
-    logits2 = m.classify_criterion(Tensor(h2)).data
+    h2[1:] = rng.normal(size=(5, 16))
+    logits2 = m.classify_criterion(Tensor(h2), first).data
     assert np.array_equal(logits, logits2)
     m.params["cls.w_c"].data[:] = 0.0
-    uniform = softmax(m.classify_criterion(Tensor(h))).data
+    uniform = softmax(m.classify_criterion(Tensor(h), first)).data
     assert np.allclose(uniform, 0.5, atol=1e-15)
 
 
 def test_classify_single_criterion():
     v = Vocab.build({"only": [RawSentence(["李娜"], 0)]})
     m = tiny_model(v)
-    probs = softmax(m.classify_criterion(Tensor(make_rng(0).normal(size=(1, 3, 16))))).data
+    h = Tensor(make_rng(0).normal(size=(3, 16)))
+    probs = softmax(m.classify_criterion(h, Rows(np.arange(3) == 0))).data
     assert np.allclose(probs, 1.0)
 
 
@@ -267,11 +269,13 @@ def test_loss_matches_manual_composition(vocab):
         z = logits - logits.max()
         return float(np.log(np.exp(z).sum()) - z[target])
 
-    manual = 0.0
+    manual, row = 0.0, 0
     for i, sent in enumerate(sents):
         for t in range(len(sent)):
-            manual += nll(out.label_logits.data[i, t], labels[i, t])
+            manual += nll(out.label_logits.data[row], labels[i, t])
+            row += 1
         manual += nll(out.criterion_logits.data[i], cids[i])
+    assert row == out.label_logits.shape[0]
     assert abs(loss.item() - manual / 2) < 1e-12
 
 
@@ -329,20 +333,70 @@ def test_backward_frees_graph_without_collector(vocab):
         assert p.grad is not None and np.isfinite(p.grad).all(), name
 
 
+def test_padding_cannot_leak(vocab):
+    # a padded batch's loss and gradients are the mean of each sentence's solo
+    # run, and junk written into the padding changes neither, bit for bit
+    m = tiny_model(vocab)
+    words = [["李娜", "进入", "半决赛"], ["李"], ["进入", "半", "决赛", "李娜", "进入"],
+             ["半决赛"], ["娜", "进"]]
+    sents = [prepare_sentence(RawSentence(w, i % 2), vocab) for i, w in enumerate(words)]
+
+    def run(ids, bi, lengths, labels, cids):
+        loss, _ = m.loss_batch(ids, bi, lengths, labels, cids)
+        backward(loss)
+        grads = {name: p.grad for name, p in m.params.items()}
+        zero_grads(m.params.values())
+        return loss.item(), grads
+
+    ids, bi, lengths, labels, cids = pack_batch(sents, vocab)
+    assert len(set(lengths.tolist())) == 5
+    loss, grads = run(ids, bi, lengths, labels, cids)
+    solo = [run(*pack_batch([s], vocab)) for s in sents]
+    assert abs(loss - np.mean([x for x, _ in solo])) <= 1e-10 * abs(loss)
+    for name, g in grads.items():
+        expected = np.mean([sg[name] for _, sg in solo], axis=0)
+        if name.endswith(".attn.bk"):
+            # softmax ignores a constant added to every score of a row, so the
+            # key bias's exact gradient is zero; compare against its weights'
+            scale = np.abs(grads[name.replace(".bk", ".wk")]).max()
+            assert np.abs(g).max() <= 1e-10 * scale and np.abs(expected).max() <= 1e-10 * scale
+        else:
+            assert np.abs(g - expected).max() <= 1e-10 * np.abs(expected).max(), name
+
+    rng = make_rng(15)
+    pad = np.arange(ids.shape[1])[None, :] > lengths[:, None]
+    junk_ids, junk_bi, junk_labels = ids.copy(), bi.copy(), labels.copy()
+    junk_ids[pad] = rng.integers(0, m.n_unigrams, size=pad.sum())
+    char_pad = pad[:, 1:]
+    junk_bi[char_pad] = rng.integers(0, m.n_bigrams, size=char_pad.sum())
+    junk_labels[char_pad] = rng.integers(0, 4, size=char_pad.sum())
+    junk_loss, junk_grads = run(junk_ids, junk_bi, lengths, junk_labels, cids)
+    assert junk_loss == loss
+    for name, g in grads.items():
+        assert junk_grads[name].tobytes() == g.tobytes(), name
+
+
 # -- shape contract -----------------------------------------------------------------
 
 def test_forward_shapes(vocab):
+    # rows are packed over real positions: N1 = sum(T + 1) tokens, N = sum(T) chars
     m = tiny_model(vocab)
-    for words in (["李"], ["李娜", "进入"], ["李娜", "进入", "半决赛"]):
-        ids, bi, lengths = sentence_inputs(vocab, words, 0)
-        T = int(lengths[0])
-        out = m.forward_batch(ids, bi, lengths)
-        assert out.hidden.shape == (1, T + 1, 16)
-        assert out.fused.shape == (1, T, 16)
-        assert out.contextual.shape == (1, T, 16)
-        assert out.label_logits.shape == (1, T, 4)
-        assert out.criterion_logits.shape == (1, 2)
-        assert out.gate_means.shape == (1, T)
+    sentences = [["李"], ["李娜", "进入"], ["李娜", "进入", "半决赛"]]
+    batches = [[words] for words in sentences] + [sentences]
+    for batch in batches:
+        sents = [prepare_sentence(RawSentence(words, 0), vocab) for words in batch]
+        ids, bi, lengths, _, _ = pack_batch(sents, vocab)
+        B, N = len(batch), int(lengths.sum())
+        out = m.forward_batch(ids, bi, lengths, collect_attn=True)
+        assert out.hidden.shape == (N + B, 16)
+        assert out.fused.shape == (N, 16)
+        assert out.contextual.shape == (N, 16)
+        assert out.label_logits.shape == (N, 4)
+        assert out.criterion_logits.shape == (B, 2)
+        assert out.gate_means.shape == (N,)
+        L = int(lengths.max())
+        assert out.attn["enc0"].shape == (B, 2, L + 1, L + 1)
+        assert out.attn["ctx"].shape == (B, 2, L, L)
 
 
 def test_batch_padding_consistent_with_single(vocab, monkeypatch):
