@@ -165,40 +165,25 @@ class Tensor:
         return self.__mul__(1.0 / float(other))
 
     def matmul(self, other: "Tensor") -> "Tensor":
-        """Matrix product, 2-D or stacked. Stacked operands must share their
-        leading dims exactly; a 2-D right operand is broadcast over them.
-        Its gradients then come from one 2-D GEMM each, over the left
-        operand with its leading dims folded into rows."""
+        """Matrix product of two 2-D operands, or of two stacks whose
+        leading dims are equal; anything else is a ValueError."""
         a, b = self.data, other.data
         if a.ndim < 2 or b.ndim < 2:
             raise ValueError("matmul needs >= 2-D operands")
         if a.shape[-1] != b.shape[-2]:
             raise ValueError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-        if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
-            raise ValueError(f"matmul batch dims disagree: {a.shape} @ {b.shape}")
+        if a.ndim != b.ndim or (a.ndim > 2 and a.shape[:-2] != b.shape[:-2]):
+            raise ValueError(f"matmul leading dims disagree: {a.shape} @ {b.shape}")
         out = _node(np.matmul(a, b), (self, other))
         if out._parents:
             def back():
                 g = out.grad
-                if a.ndim > 2 and b.ndim == 2:  # fold a's leading dims into rows
-                    g2 = g.reshape(-1, b.shape[1])
-                    if self.requires_grad:
-                        self._accum((g2 @ b.T).reshape(a.shape), owned=True)
-                    if other.requires_grad:
-                        other._accum(a.reshape(-1, a.shape[-1]).T @ g2, owned=True)
-                    return
                 if self.requires_grad:
-                    da = np.matmul(g, np.swapaxes(b, -1, -2))
-                    if da.ndim > a.ndim:  # 2-D a broadcast over stacked b
-                        da = da.reshape((-1,) + a.shape).sum(axis=0)
-                    self._accum(da, owned=True)
+                    self._accum(np.matmul(g, np.swapaxes(b, -1, -2)), owned=True)
                 if other.requires_grad:
                     other._accum(np.matmul(np.swapaxes(a, -1, -2), g), owned=True)
             out._backward = back
         return out
-
-    def __matmul__(self, other):
-        return self.matmul(other)
 
     # -- shape ops ------------------------------------------------------------
 
@@ -288,7 +273,10 @@ def parameter(data) -> Tensor:
 # -- composite ops -------------------------------------------------------------
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Row-stochastic softmax with max-subtraction for stability."""
+    """Row-stochastic softmax with max-subtraction for stability.
+
+    The model uses masked_softmax; this plain form stays public as the
+    reference that masked_softmax's tests compare against."""
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)

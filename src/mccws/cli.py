@@ -36,10 +36,7 @@ def parse_pairs(pairs, what: str) -> dict[str, str]:
 def load_criterion_corpora(pairs, vocab: cp.Vocab) -> dict[str, list[cp.RawSentence]]:
     corpora = {}
     for name, path in parse_pairs(pairs, "corpus").items():
-        if name not in vocab.criteria:
-            raise ConfigError(
-                f"criterion {name!r} not in vocab; registered: {sorted(vocab.criteria)}")
-        corpora[name] = cp.load_corpus(path, vocab.criteria[name])
+        corpora[name] = cp.load_corpus(path, vocab.criterion_id(name))
     return corpora
 
 
@@ -152,13 +149,15 @@ def cmd_segment(checkpoint_path, vocab_path, criterion, input_path, output_path)
     """Segment raw text, one sentence per line, words joined by spaces."""
     vocab = cp.Vocab.load(vocab_path)
     model, _, _ = ckpt.load_checkpoint(checkpoint_path, vocab)
-    if criterion not in vocab.criteria:
-        raise ConfigError(
-            f"unknown criterion {criterion!r}; registered: {sorted(vocab.criteria)}")
+    vocab.criterion_id(criterion)  # an unknown criterion exits 2 even on empty input
     with contextlib.ExitStack() as stack:
         src = stack.enter_context(open(input_path, encoding="utf-8")) if input_path else sys.stdin
         dst = (stack.enter_context(cp.open_output(output_path, "w", encoding="utf-8"))
                if output_path else sys.stdout)
+        # an undecodable byte reads as a lone surrogate (one <unk> token) and
+        # is written back as the same byte
+        src.reconfigure(errors="surrogateescape")
+        dst.reconfigure(errors="surrogateescape")
         limit = model.config.max_len - 1
         for number, line in enumerate(src, 1):
             text = line.rstrip("\n")

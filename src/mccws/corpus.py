@@ -155,14 +155,15 @@ class RawSentence:
 class Sentence:
     """A preprocessed sentence ready for the model.
 
-    gold_spans partition [0, len(tokens)) in token coordinates.
+    gold_spans partition [0, len(tokens)) in token coordinates; they are
+    None for text to be segmented.
     """
 
     tokens: list[str]
     chars: list[int]
     bigrams: list[int]
     criterion_id: int
-    gold_spans: list[tuple[int, int]]
+    gold_spans: list[tuple[int, int]] | None = None
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -348,6 +349,11 @@ class Vocab:
             names[cid] = name
         return names
 
+    def criterion_id(self, name: str) -> int:
+        if name not in self.criteria:
+            raise ConfigError(f"unknown criterion {name!r}; registered: {sorted(self.criteria)}")
+        return self.criteria[name]
+
     def criterion_token_id(self, criterion_id: int) -> int:
         names = self.criterion_names
         if not 0 <= criterion_id < len(names):
@@ -451,6 +457,14 @@ def make_bigrams(tokens: list[str], vocab: Vocab) -> list[int]:
     return ids
 
 
+def index_sentence(tokens: list[str], vocab: Vocab, criterion_id: int,
+                   gold_spans: list[tuple[int, int]] | None = None) -> Sentence:
+    """A token sequence with its unigram and bigram ids."""
+    return Sentence(tokens=tokens, chars=[vocab.uni_id(t) for t in tokens],
+                    bigrams=make_bigrams(tokens, vocab), criterion_id=criterion_id,
+                    gold_spans=gold_spans)
+
+
 def prepare_sentence(raw: RawSentence, vocab: Vocab) -> Sentence:
     """Normalize, tokenize and index one gold sentence; word boundaries
     become gold spans in token coordinates."""
@@ -462,10 +476,4 @@ def prepare_sentence(raw: RawSentence, vocab: Vocab) -> Sentence:
             raise DataError(f"word {word!r} vanished during preprocessing")
         spans.append((len(tokens), len(tokens) + len(toks)))
         tokens.extend(toks)
-    return Sentence(
-        tokens=tokens,
-        chars=[vocab.uni_id(t) for t in tokens],
-        bigrams=make_bigrams(tokens, vocab),
-        criterion_id=raw.criterion_id,
-        gold_spans=spans,
-    )
+    return index_sentence(tokens, vocab, raw.criterion_id, spans)

@@ -49,9 +49,11 @@ class ModelConfig:
     use_bigram: bool = True
 
     def __post_init__(self):
-        for name in ("num_criteria", "d_h", "d_e", "encoder_layers", "heads", "d_ff", "max_len"):
+        for name in ("num_criteria", "d_h", "d_e", "encoder_layers", "heads", "d_ff"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.max_len < 2:
+            raise ConfigError("max_len must be >= 2 (the criterion token and one character)")
         if self.d_h % self.heads:
             raise ConfigError(f"d_h={self.d_h} not divisible by heads={self.heads}")
         if not 0.0 <= self.dropout_p < 1.0:
@@ -339,7 +341,8 @@ class Model:
 
     def predict(self, sentences: list[cp.Sentence], vocab: cp.Vocab,
                 batch_size: int = 64) -> tuple[list[np.ndarray], np.ndarray]:
-        """Eval-mode forward over batches of at most batch_size sentences.
+        """Eval-mode forward over batches of at most batch_size sentences
+        (their gold spans are not read).
 
         Sentences are batched in order of length (a stable sort), so a batch
         pads to little more than its longest sentence; a batch also stops
@@ -352,9 +355,9 @@ class Model:
         if batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
         sizes = [len(s) for s in sentences]
-        order = np.argsort(sizes, kind="stable")
+        order = sorted(range(len(sentences)), key=sizes.__getitem__)
         labels: list[np.ndarray] = [None] * len(sentences)
-        criteria = np.zeros(len(sentences), dtype=np.int64)
+        criteria = [0] * len(sentences)
         start = 0
         while start < len(order):
             stop = start + 1
@@ -364,39 +367,33 @@ class Model:
                 stop += 1
             rows = order[start:stop]
             start = stop
-            ids, bi, lengths, _, _ = pack_batch([sentences[i] for i in rows], vocab)
             with no_grad():
-                out = self.forward_batch(ids, bi, lengths)
-            label_ids = np.argmax(out.label_logits.data, axis=-1)
-            for i, sent_labels in zip(rows, np.split(label_ids, np.cumsum(lengths)[:-1])):
-                labels[i] = sent_labels
-            criteria[rows] = np.argmax(out.criterion_logits.data, axis=-1)
-        return labels, criteria
+                out = self.forward_batch(*pack_inputs([sentences[i] for i in rows], vocab))
+            label_ids = out.label_logits.data.argmax(axis=-1)
+            offset = 0
+            for i, c in zip(rows, out.criterion_logits.data.argmax(axis=-1).tolist()):
+                labels[i] = label_ids[offset:offset + sizes[i]]
+                criteria[i] = c
+                offset += sizes[i]
+        return labels, np.array(criteria, dtype=np.int64)
 
     def segment_text(self, text: str, criterion_name: str, vocab: cp.Vocab) -> list[str]:
-        """Segment raw text under the named criterion.
+        """Segment raw text under the named criterion, through predict.
 
         Latin/digit runs are re-emitted verbatim from the original text.
         Whitespace is dropped before the forward pass and always ends a word.
         Text of more than max_len - 1 tokens is segmented in consecutive
-        windows that fit (see text_windows).
+        windows that fit (see text_windows), all in one predict call.
         """
-        if criterion_name not in vocab.criteria:
-            raise ConfigError(
-                f"unknown criterion {criterion_name!r}; registered: {sorted(vocab.criteria)}")
+        cid = vocab.criterion_id(criterion_name)
         toks_spans = cp.text_tokens(text)
-        cid = vocab.criteria[criterion_name]
+        windows = [toks_spans[lo:hi] for lo, hi in
+                   text_windows([span for _, span in toks_spans], self.config.max_len - 1)]
+        labels, _ = self.predict(
+            [cp.index_sentence([t for t, _ in window], vocab, cid) for window in windows], vocab)
         words = []
-        for lo, hi in text_windows([span for _, span in toks_spans], self.config.max_len - 1):
-            window = toks_spans[lo:hi]
-            tokens = [t for t, _ in window]
-            aug = [vocab.criterion_token_id(cid)] + [vocab.uni_id(t) for t in tokens]
-            ids = np.array([aug], dtype=np.int64)
-            bi = np.array([cp.make_bigrams(tokens, vocab)], dtype=np.int64)
-            with no_grad():
-                out = self.forward_batch(ids, bi, np.array([len(tokens)]))
-            labels = np.argmax(out.label_logits.data, axis=-1)
-            for s, e in cp.decode_bmes(labels.tolist()):
+        for window, window_labels in zip(windows, labels):
+            for s, e in cp.decode_bmes(window_labels.tolist()):
                 # the gaps between kept tokens are whitespace
                 words.extend(text[window[s][1][0]:window[e - 1][1][1]].split())
         return words
@@ -418,25 +415,30 @@ def text_windows(spans: list[tuple[int, int]], limit: int) -> list[tuple[int, in
     return windows
 
 
-def pack_batch(sentences: list[cp.Sentence], vocab: cp.Vocab):
-    """Pad a list of sentences into dense arrays.
-
-    Returns (ids [B, L+1], bigram_ids [B, L], lengths [B], labels [B, L],
-    criterion_ids [B]) with zero padding beyond each sentence's length.
-    """
+def pack_inputs(sentences: list[cp.Sentence], vocab: cp.Vocab):
+    """Pad sentences into the model's inputs, reading no gold spans: (ids
+    [B, L+1], each row led by its criterion token; bigram_ids [B, L];
+    lengths [B]), zero beyond each sentence's length."""
     B = len(sentences)
-    L = max((len(s) for s in sentences), default=0)
+    L = max(map(len, sentences), default=0)
     ids = np.zeros((B, L + 1), dtype=np.int64)
     bi = np.zeros((B, L), dtype=np.int64)
-    labels = np.zeros((B, L), dtype=np.int64)
     lengths = np.zeros(B, dtype=np.int64)
-    criterion_ids = np.zeros(B, dtype=np.int64)
     for i, sent in enumerate(sentences):
         T = len(sent)
         lengths[i] = T
-        criterion_ids[i] = sent.criterion_id
         ids[i, 0] = vocab.criterion_token_id(sent.criterion_id)
         ids[i, 1:T + 1] = sent.chars
         bi[i, :T] = sent.bigrams
-        labels[i, :T] = cp.encode_bmes(sent.gold_spans, T)
+    return ids, bi, lengths
+
+
+def pack_batch(sentences: list[cp.Sentence], vocab: cp.Vocab):
+    """pack_inputs' three arrays plus the training targets: labels [B, L],
+    the gold spans' BMES ids (zero-padded), and criterion_ids [B]."""
+    ids, bi, lengths = pack_inputs(sentences, vocab)
+    labels = np.zeros(bi.shape, dtype=np.int64)
+    for i, sent in enumerate(sentences):
+        labels[i, :len(sent)] = cp.encode_bmes(sent.gold_spans, len(sent))
+    criterion_ids = np.array([sent.criterion_id for sent in sentences], dtype=np.int64)
     return ids, bi, lengths, labels, criterion_ids

@@ -41,17 +41,29 @@ def test_matmul_shape_mismatch():
         Tensor([[1.0, 2.0]]).matmul(Tensor([[1.0, 2.0]]))
 
 
+def test_matmul_refuses_unequal_leading_dims():
+    # only 2-D @ 2-D and stacks with equal leading dims; no broadcasting
+    for left, right in [((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5)),
+                        ((2, 3, 4), (3, 4, 5)), ((1, 3, 4), (2, 4, 5)),
+                        ((2, 3, 4), (2, 2, 4, 5))]:
+        with pytest.raises(ValueError, match="leading dims"):
+            Tensor(np.ones(left)).matmul(Tensor(np.ones(right)))
+
+
 def test_matmul_stacked_and_broadcast_grad():
+    # a stack times a stack, then its rows times a matrix plus a bias
+    # broadcast over them, as attention and the packed linear layers do
     rng = make_rng(0)
     a = parameter(rng.normal(size=(2, 3, 4)))
     b = parameter(rng.normal(size=(2, 4, 5)))
     w = parameter(rng.normal(size=(5, 3)))
+    c = parameter(rng.normal(size=3))
 
-    def loss_fn():
-        return a.matmul(b).matmul(w).sum().item()
+    def loss():
+        return ((a.matmul(b).reshape(6, 5).matmul(w) + c).tanh()).sum()
 
-    backward(a.matmul(b).matmul(w).sum())
-    assert_grads_match(loss_fn, [a, b, w])
+    backward(loss())
+    assert_grads_match(lambda: loss().item(), [a, b, w, c])
 
 
 def split_heads(x):
@@ -71,21 +83,44 @@ def merge_heads(x):
     ((2, 2, 3, 2), merge_heads),
 ])
 def test_matmul_folded_2d_right_grad(shape, view):
-    # both gradients of [..., d] @ [d, k] fold the leading dims into one 2-D GEMM
+    # [..., d] with its leading dims folded into rows, @ [d, k]: the packed
+    # model's linear layers; the right operand w.T is a non-contiguous view
     rng = make_rng(13)
     x = parameter(rng.normal(size=shape))
     lhs = view or (lambda t: t)
     d = lhs(x).shape[-1]
     w = parameter(rng.normal(size=(5, d)))
-    r = Tensor(rng.normal(size=lhs(x).shape[:-1] + (5,)))
+    r = Tensor(rng.normal(size=(x.data.size // d, 5)))
 
-    def loss_fn():
-        return (lhs(x).matmul(w.transpose()) * r).sum().item()
+    def loss():
+        return (lhs(x).reshape(-1, d).matmul(w.transpose()) * r).sum()
 
     if view is split_heads:
         assert not lhs(x).data.flags.c_contiguous
-    backward((lhs(x).matmul(w.transpose()) * r).sum())
-    assert_grads_match(loss_fn, [x, w])
+    assert not w.transpose().data.flags.c_contiguous
+    backward(loss())
+    assert_grads_match(lambda: loss().item(), [x, w])
+
+
+def test_matmul_non_contiguous_operands_grad():
+    # both operands strided views: 2-D transposes, and stacks as attention
+    # builds them from split heads
+    rng = make_rng(15)
+    x = parameter(rng.normal(size=(4, 3)))
+    w = parameter(rng.normal(size=(5, 4)))
+    q = parameter(rng.normal(size=(2, 3, 4)))
+    k = parameter(rng.normal(size=(2, 3, 4)))
+
+    def loss():
+        flat = x.transpose().matmul(w.transpose())  # [3, 4] @ [4, 5]
+        scores = split_heads(q).matmul(split_heads(k).transpose(0, 1, 3, 2))  # [2, 2, 3, 3]
+        return (flat * flat).sum() + (scores * scores).sum()
+
+    assert not x.transpose().data.flags.c_contiguous
+    assert not split_heads(k).transpose(0, 1, 3, 2).data.flags.c_contiguous
+    backward(loss())
+    assert_grads_match(lambda: loss().item(), [x, w, q, k])
+    assert_no_shared_grads([x, w, q, k])
 
 
 # -- softmax ---------------------------------------------------------------------
@@ -549,8 +584,8 @@ def test_parameter_shared_by_matmuls_and_add_sums_grads():
     rng = make_rng(14)
     w = parameter(rng.normal(size=(3, 3)))
     v = parameter(rng.normal(size=(3, 3)))
-    x = Tensor(rng.normal(size=(2, 4, 3)))
-    z = Tensor(rng.normal(size=(2, 4, 3)))
+    x = Tensor(rng.normal(size=(8, 3)))
+    z = Tensor(rng.normal(size=(8, 3)))
 
     def loss():
         h = x.matmul(w).tanh() + z.matmul(w.transpose())

@@ -99,7 +99,7 @@ def test_train_divergence_exit_code(workdir, tmp_path):
 
 
 @pytest.mark.parametrize("flag,value", [("--epochs", "-1"), ("--batch-size", "0"),
-                                        ("--eval-every", "0")])
+                                        ("--eval-every", "0"), ("--max-len", "1")])
 def test_train_config_out_of_range_exits_config(workdir, tmp_path, flag, value):
     proc = run_cli("train", "--corpus", f"ctb={workdir / 'ctb.txt'}",
                    "--vocab", str(workdir / "vocab.txt"),
@@ -195,6 +195,58 @@ def test_segment_vocab_mismatch_refused(trained, tmp_path):
     assert "vocab" in proc.stderr
 
 
+# A valid line, an undecodable byte inside a line and at its start, and a
+# valid line after them.
+UNDECODABLE = ("李娜进入半决赛\n李娜".encode() + b"\xff" + "进入\n".encode()
+               + b"\x80" + "半决赛\n李娜\n".encode())
+
+
+def segment_bytes(d, data: bytes, *args, io_errors: str) -> subprocess.CompletedProcess:
+    """segment over raw bytes, with stdin and stdout set to utf-8:io_errors."""
+    proc = subprocess.run(
+        [*CLI, "segment", "--checkpoint", str(d / "model.ckpt"), "--vocab", str(d / "vocab.txt"),
+         "--criterion", "ctb", *args],
+        input=data, capture_output=True, env=dict(os.environ, PYTHONIOENCODING=f"utf-8:{io_errors}"))
+    assert proc.returncode == 0 and b"Traceback" not in proc.stderr, proc.stderr.decode()
+    return proc
+
+
+def assert_partitions(out: bytes, data: bytes):
+    # one output line per input line, whose words rejoin to it byte for byte
+    assert out.count(b"\n") == data.count(b"\n")
+    assert out.replace(b" ", b"") == data
+
+
+def test_segment_input_file_passes_undecodable_bytes(trained, tmp_path):
+    (tmp_path / "in.txt").write_bytes(UNDECODABLE)
+    proc = segment_bytes(trained, b"", "--input", str(tmp_path / "in.txt"), io_errors="strict")
+    assert_partitions(proc.stdout, UNDECODABLE)
+
+
+def test_segment_strict_stdin_passes_undecodable_bytes(trained):
+    proc = segment_bytes(trained, UNDECODABLE, io_errors="strict")
+    assert_partitions(proc.stdout, UNDECODABLE)
+
+
+def test_segment_output_file_passes_undecodable_bytes(trained, tmp_path):
+    out = tmp_path / "out.txt"
+    segment_bytes(trained, UNDECODABLE, "--output", str(out), io_errors="surrogateescape")
+    assert_partitions(out.read_bytes(), UNDECODABLE)
+
+
+def test_segment_max_len_one_checkpoint_exits_data(trained, tmp_path):
+    # such a checkpoint would window every line forever
+    d = trained
+    bad = tmp_path / "short.ckpt"
+    bad.write_bytes(edit_header((d / "model.ckpt").read_bytes(),
+                                lambda h: h["config"].update(max_len=1)))
+    proc = subprocess.run(
+        [*CLI, "segment", "--checkpoint", str(bad), "--vocab", str(d / "vocab.txt"),
+         "--criterion", "ctb"], input="李娜\n", capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3 and "max_len" in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 # -- evaluate -----------------------------------------------------------------------
 
 def test_evaluate_two_criteria_with_avg(trained, tmp_path):
@@ -272,6 +324,7 @@ CORRUPTIONS = {
     "unknown_config_key": lambda b: edit_header(b, lambda h: h["config"].update(bogus=1)),
     "missing_config_field": lambda b: edit_header(b, lambda h: h["config"].pop("num_criteria")),
     "float_config_int": lambda b: edit_header(b, lambda h: h["config"].update(heads=2.0)),
+    "max_len_one": lambda b: edit_header(b, lambda h: h["config"].update(max_len=1)),
     "missing_arrays": lambda b: edit_header(b, lambda h: h.pop("arrays")),
     "bad_shape": lambda b: edit_header(b, lambda h: h["arrays"][0].update(shape=[-1])),
     "truncated": lambda b: b[:-8],

@@ -11,7 +11,7 @@ from mccws.autodiff import Rows, Tensor, backward, make_rng, no_grad, softmax, z
 from mccws.checkpoint import load_checkpoint, save_checkpoint
 from mccws.corpus import RawSentence, Vocab, prepare_sentence
 from mccws.errors import ConfigError, DataError
-from mccws.model import Model, ModelConfig, pack_batch, param_shapes, text_windows
+from mccws.model import Model, ModelConfig, pack_batch, pack_inputs, param_shapes, text_windows
 
 from gradutil import assert_grads_match
 
@@ -33,9 +33,7 @@ def tiny_model(vocab, **overrides) -> Model:
 
 def sentence_inputs(vocab, words, cid):
     """One sentence as a batch of one: ids [1, T+1], bigrams [1, T], lengths [1]."""
-    sent = prepare_sentence(RawSentence(words, cid), vocab)
-    ids, bi, lengths, _, _ = pack_batch([sent], vocab)
-    return ids, bi, lengths
+    return pack_inputs([prepare_sentence(RawSentence(words, cid), vocab)], vocab)
 
 
 def encode_one(m, ids, **kw):
@@ -58,6 +56,16 @@ def test_config_validation():
         ModelConfig(num_criteria=0)
     cfg = ModelConfig(num_criteria=3)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_config_max_len_fits_a_character():
+    # the criterion token plus one character; max_len 1 left segment no room
+    assert ModelConfig(num_criteria=1, max_len=2).max_len == 2
+    for max_len in (1, 0):
+        with pytest.raises(ConfigError, match="max_len"):
+            ModelConfig(num_criteria=1, max_len=max_len)
+    with pytest.raises(DataError, match="max_len"):
+        ModelConfig.from_dict(dict(ModelConfig(num_criteria=1).to_dict(), max_len=1))
 
 
 # -- encoder -----------------------------------------------------------------
@@ -464,10 +472,13 @@ def test_segment_words_rejoin_to_original(vocab):
     m = tiny_model(vocab)
     for text in ("李娜进入半决赛", "李娜2024年ok了", "ＡＢＣ１２３李娜", "abc 123",
                  "天地 玄\r", " 李娜\t进入\u3000半决赛 ", " \r\n",
-                 "李娜进入半决赛" * 10, "李娜 进入半决赛 " * 10):
+                 "李娜进入半决赛" * 10, "李娜 进入半决赛 " * 10, "李\udcff娜 进入\udc80"):
         words = m.segment_text(text, "pku", vocab)
         assert not any(ch.isspace() for word in words for ch in word), words
         assert "".join(words) == "".join(text.split())
+    # an undecodable byte, read with surrogateescape, is one <unk> token
+    assert [t for t, _ in cp.text_tokens("李\udcff娜")] == ["李", "\udcff", "娜"]
+    assert vocab.uni_id("\udcff") == cp.UNK_ID
 
 
 def test_text_windows_cut_at_last_gap():
@@ -482,20 +493,69 @@ def test_text_windows_cut_at_last_gap():
 
 
 def test_segment_agrees_with_batched_prediction(vocab):
-    # segment_text runs a batch of one; evaluation runs padded batches
-    m = tiny_model(vocab)
+    # segment_text's words are decode_bmes of predict over the line's
+    # windows, also when those windows share batches with other sentences
+    m = tiny_model(vocab)  # windows of at most 31 tokens
     m.params["dec.w_o"].data[:] = make_rng(9).normal(size=(4, 16))  # well-separated labels
     longer = prepare_sentence(RawSentence(["李娜进入半决赛李娜进入"], 0), vocab)
-    lengths_seen = set()
-    for text in ("李", "李娜", "进入半决赛", "半决赛李娜进入", "娜进李"):
+    lengths_seen, windows_seen = set(), set()
+    for text in ("李", "李娜", "进入半决赛", "半决赛李娜进入", "娜进李",
+                 "李娜进入半决赛" * 10, "李娜 进入半决赛 " * 10, " 半决赛李娜进入" * 9):
+        toks = cp.text_tokens(text)
+        windows = text_windows([span for _, span in toks], m.config.max_len - 1)
+        windows_seen.add(len(windows))
         for name, cid in vocab.criteria.items():
-            sent = prepare_sentence(RawSentence([text], cid), vocab)
-            labels = m.predict([sent, longer], vocab)[0][0]
-            spans = cp.decode_bmes(labels.tolist())
+            sents = [prepare_sentence(RawSentence(["".join(t for t, _ in toks[lo:hi])], cid), vocab)
+                     for lo, hi in windows]
+            labels = m.predict([longer] + sents, vocab, batch_size=3)[0][1:]
+            expected = []
+            for (lo, _), window_labels in zip(windows, labels):
+                for s, e in cp.decode_bmes(window_labels.tolist()):
+                    expected.extend(text[toks[lo + s][1][0]:toks[lo + e - 1][1][1]].split())
             words = m.segment_text(text, name, vocab)
-            assert words == [text[s:e] for s, e in spans]
+            assert words == expected
             lengths_seen.update(len(w) for w in words)
     assert len(lengths_seen) > 1  # not all words of one length
+    assert windows_seen == {1, 3}
+
+
+def test_segment_words_follow_predict_labels(vocab, monkeypatch):
+    # segment_text has no decode of its own: it cuts the text where the
+    # labels predict returns say, with every window of a line in one call
+    m = tiny_model(vocab, max_len=4)  # windows of at most 3 tokens
+    calls = []
+    chosen = {3: [cp.S, cp.B, cp.E], 1: [cp.S]}
+
+    def predict(sentences, vocab, batch_size=64):
+        calls.append(sentences)
+        return [np.array(chosen[len(s)]) for s in sentences], np.zeros(len(sentences), np.int64)
+
+    monkeypatch.setattr(m, "predict", predict)
+    assert m.segment_text("李娜进入半决赛", "pku", vocab) == ["李", "娜进", "入", "半决", "赛"]
+    chosen[3] = [cp.B, cp.M, cp.E]
+    assert m.segment_text("李娜进入半决赛", "pku", vocab) == ["李娜进", "入半决", "赛"]
+    assert m.segment_text("李 娜进入", "pku", vocab) == ["李", "娜进入"]  # windowed at the gap
+    assert len(calls) == 3
+    windows = calls[0]
+    assert [s.tokens for s in windows] == [["李", "娜", "进"], ["入", "半", "决"], ["赛"]]
+    for s in windows:
+        assert s.criterion_id == vocab.criteria["pku"] and s.gold_spans is None
+        assert s.chars == [vocab.uni_id(t) for t in s.tokens]
+        assert s.bigrams == cp.make_bigrams(s.tokens, vocab)
+
+
+def test_segment_and_predict_never_pack_training_batches(vocab, monkeypatch):
+    # inference packs inputs only; gold labels are packed for training alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("inference reached pack_batch")
+
+    monkeypatch.setattr(model_mod, "pack_batch", refuse)
+    m = tiny_model(vocab)
+    text = "李娜进入半决赛" * 10
+    assert "".join(m.segment_text(text, "ctb", vocab)) == text
+    unlabeled = cp.index_sentence(list("李娜进入"), vocab, 1)
+    labels, criteria = m.predict([unlabeled], vocab)
+    assert len(labels[0]) == 4 and criteria.shape == (1,)
 
 
 def test_segment_deterministic_across_runs(vocab):
