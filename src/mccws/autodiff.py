@@ -16,6 +16,7 @@ reproducible across platforms.
 """
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -86,9 +87,10 @@ class Tensor:
     # -- graph plumbing -----------------------------------------------------
 
     def _accum(self, g, owned: bool = False) -> None:
-        """Add g into this tensor's gradient. owned=True promises that the
-        caller just allocated g and hands it to no other tensor, so the first
-        accumulation may keep it instead of copying it."""
+        """Add g into this tensor's gradient. owned=True promises that g's
+        buffer belongs to the caller alone (it was just allocated, or it is the
+        gradient of the node being consumed) and goes to no other tensor, so
+        the first accumulation may keep it instead of copying it."""
         if not self.requires_grad:
             return
         if self.grad is None:
@@ -105,13 +107,13 @@ class Tensor:
         if not isinstance(other, Tensor):
             out = _node(self.data + other, (self,))
             if out._parents:
-                out._backward = lambda: self._accum(out.grad)
+                out._backward = lambda: self._accum(out.grad, owned=True)
             return out
         if self.data.shape == other.data.shape:
             out = _node(self.data + other.data, (self, other))
             if out._parents:
                 def back():
-                    self._accum(out.grad)
+                    self._accum(out.grad, owned=True)
                     other._accum(out.grad)
                 out._backward = back
             return out
@@ -120,8 +122,8 @@ class Tensor:
             out = _node(self.data + other.data, (self, other))
             if out._parents:
                 def back():
-                    self._accum(out.grad)
                     other._accum(out.grad.reshape(-1, other.data.shape[0]).sum(axis=0), owned=True)
+                    self._accum(out.grad, owned=True)
                 out._backward = back
             return out
         raise ValueError(f"add shape mismatch: {self.data.shape} vs {other.data.shape}")
@@ -192,7 +194,7 @@ class Tensor:
             shape = tuple(shape[0])
         out = _node(self.data.reshape(shape), (self,))
         if out._parents:
-            out._backward = lambda: self._accum(out.grad.reshape(self.data.shape))
+            out._backward = lambda: self._accum(out.grad.reshape(self.data.shape), owned=True)
         return out
 
     def transpose(self, *axes) -> "Tensor":
@@ -203,7 +205,7 @@ class Tensor:
         out = _node(self.data.transpose(axes), (self,))
         if out._parents:
             inv = sorted(range(len(axes)), key=axes.__getitem__)
-            out._backward = lambda: self._accum(out.grad.transpose(inv))
+            out._backward = lambda: self._accum(out.grad.transpose(inv), owned=True)
         return out
 
     def __getitem__(self, key) -> "Tensor":
@@ -211,7 +213,7 @@ class Tensor:
         if out._parents:
             def back():
                 g = np.zeros_like(self.data)
-                g[key] += out.grad
+                np.add.at(g, key, out.grad)  # a repeated index adds each of its gradients
                 self._accum(g, owned=True)
             out._backward = back
         return out
@@ -272,11 +274,35 @@ def parameter(data) -> Tensor:
 
 # -- composite ops -------------------------------------------------------------
 
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w.T (+ b) as one node: x [N, in] rows, w [out, in] (weights are
+    stored [out, in]) and an optional bias b [out] added to every row."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
+        raise ValueError(f"linear needs x [N, in] and w [out, in]: {x.data.shape}, {w.data.shape}")
+    if b is not None and b.data.shape != w.data.shape[:1]:
+        raise ValueError(f"linear bias {b.data.shape} does not match w {w.data.shape}")
+    y = np.matmul(x.data, w.data.T)
+    if b is not None:
+        y += b.data
+    out = _node(y, (x, w) if b is None else (x, w, b))
+    if out._parents:
+        def back():
+            g = out.grad
+            if x.requires_grad:
+                x._accum(np.matmul(g, w.data), owned=True)
+            if w.requires_grad:
+                w._accum(np.matmul(x.data.T, g).T, owned=True)
+            if b is not None:
+                b._accum(g.sum(axis=0), owned=True)
+        out._backward = back
+    return out
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Row-stochastic softmax with max-subtraction for stability.
 
-    The model uses masked_softmax; this plain form stays public as the
-    reference that masked_softmax's tests compare against."""
+    The model's softmax is inside attention; this plain form stays public as
+    the reference that attention's tests compare against."""
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
@@ -289,43 +315,15 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def masked_softmax(scores: Tensor, scale: float, bias: np.ndarray) -> Tensor:
-    """softmax(scores * scale + bias) over the last axis, as one node.
-
-    bias is a constant additive mask that broadcasts against scores without
-    being expanded, e.g. [B, 1, 1, L] key mask against [B, H, L, L] attention
-    scores; a large negative entry gives its key probability 0, and a mask
-    that does not broadcast to scores' shape is a ValueError. The forward
-    works in place on one buffer the node owns, so attention keeps one
-    [B, H, L, L] array alive instead of one per elementwise step.
-    """
-    y = scores.data * scale
-    y += bias
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-    out = _node(y, (scores,))
-    if out._parents:
-        def back():
-            g = out.grad
-            gx = g * y
-            np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
-            gx *= y
-            gx *= scale
-            scores._accum(gx, owned=True)
-        out._backward = back
-    return out
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float | None = None) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply an
     elementwise affine gain and bias."""
     if eps is None:
         eps = default_ln_eps()
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    # the centred values serve the variance (as ndarray.var computes it) and xhat
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
     out = _node(xhat * gain.data + bias.data, (x, gain, bias))
     if out._parents:
         def back():
@@ -363,6 +361,16 @@ class Rows:
             return a.reshape((self.count,) + features)
         return a.reshape((-1,) + features)[self.index]
 
+    def unpack(self, a: np.ndarray) -> np.ndarray:
+        """The padded array [*shape, *features] whose real rows are a
+        [count, *features], zero at padding; a reshape when index is None."""
+        features = a.shape[1:]
+        if self.index is None:
+            return a.reshape(self.shape + features)
+        out = np.zeros((self.valid.size,) + features, dtype=a.dtype)
+        out[self.index] = a
+        return out.reshape(self.shape + features)
+
 
 def gather_rows(x: Tensor, rows: Rows) -> Tensor:
     """Pack a padded x [*rows.shape, *features] into its real rows
@@ -372,11 +380,7 @@ def gather_rows(x: Tensor, rows: Rows) -> Tensor:
         return x.reshape((rows.count,) + x.data.shape[len(rows.shape):])
     out = _node(rows.pack(x.data), (x,))
     if out._parents:
-        def back():
-            g = np.zeros((rows.valid.size,) + out.grad.shape[1:], dtype=out.grad.dtype)
-            g[rows.index] = out.grad
-            x._accum(g.reshape(x.data.shape), owned=True)
-        out._backward = back
+        out._backward = lambda: x._accum(rows.unpack(out.grad), owned=True)
     return out
 
 
@@ -384,15 +388,71 @@ def scatter_rows(x: Tensor, rows: Rows) -> Tensor:
     """Unpack real rows x [rows.count, *features] into a padded
     [*rows.shape, *features] array that is zero at padding; the inverse of
     gather_rows, whose forward is this op's backward."""
-    features = x.data.shape[1:]
     if rows.index is None:
-        return x.reshape(rows.shape + features)
-    data = np.zeros((rows.valid.size,) + features, dtype=x.data.dtype)
-    data[rows.index] = x.data
-    out = _node(data.reshape(rows.shape + features), (x,))
+        return x.reshape(rows.shape + x.data.shape[1:])
+    out = _node(rows.unpack(x.data), (x,))
     if out._parents:
         out._backward = lambda: x._accum(rows.pack(out.grad), owned=True)
     return out
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, rows: Rows, heads: int,
+              key_bias: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention over the real rows of a
+    padded [B, L] batch, as one node.
+
+    q, k and v are the packed projections [rows.count, d] of rows' real
+    positions; d splits into heads of d // heads features. Each is padded to
+    [B, heads, L, d // heads] with zeros at padding. Query row i attends with
+    softmax(q k^T / sqrt(d // heads) + key_bias) over the keys, where
+    key_bias [B, L] is a constant added to every score of that key: a large
+    negative entry gives its key probability 0. The context is packed again.
+
+    Returns (context [rows.count, d], probabilities [B, heads, L, L]); the
+    probabilities are a plain array outside the graph. The backward is
+    written out by hand and keeps the padded q, k, v and the probabilities.
+    """
+    B, L = rows.shape
+    d = q.data.shape[-1]
+    if heads < 1 or d % heads:
+        raise ValueError(f"d={d} does not split into {heads} heads")
+    for t in (q, k, v):
+        if t.data.shape != (rows.count, d):
+            raise ValueError(f"attention needs q, k, v of shape {(rows.count, d)}, got {t.data.shape}")
+    key_bias = np.asarray(key_bias)
+    if key_bias.shape != rows.shape:
+        raise ValueError(f"key_bias must be [B, L] = {rows.shape}, got {key_bias.shape}")
+    dk = d // heads
+    scale = 1.0 / math.sqrt(dk)
+
+    def split(a):  # real rows [count, d] -> [B, heads, L, dk], a strided view
+        return rows.unpack(a).reshape(B, L, heads, dk).transpose(0, 2, 1, 3)
+
+    def merge(a):  # [B, heads, L, dk] -> real rows [count, d], a new array
+        return a.transpose(0, 2, 1, 3)[rows.valid].reshape(rows.count, d)
+
+    q4, k4, v4 = split(q.data), split(k.data), split(v.data)
+    # the probabilities are computed in place in the score buffer
+    p = np.matmul(q4, k4.swapaxes(-1, -2))
+    p *= scale
+    p += key_bias[:, None, None, :]
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = _node(merge(np.matmul(p, v4)), (q, k, v))
+    if out._parents:
+        def back():
+            g4 = split(out.grad)
+            gv = np.matmul(p.swapaxes(-1, -2), g4)
+            gs = np.matmul(g4, v4.swapaxes(-1, -2))  # d loss / d p, then / d scores
+            np.subtract(gs, (gs * p).sum(axis=-1, keepdims=True), out=gs)
+            gs *= p
+            gs *= scale
+            q._accum(merge(np.matmul(gs, k4)), owned=True)
+            k._accum(merge(np.matmul(q4.swapaxes(-1, -2), gs).swapaxes(-1, -2)), owned=True)
+            v._accum(merge(gv), owned=True)
+        out._backward = back
+    return out, p
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None,
@@ -411,10 +471,10 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
     if rows is None:
-        draw = rng.random(x.data.shape)
+        kept = rng.random(x.data.shape) >= p
     else:
-        draw = rows.pack(rng.random(rows.shape + x.data.shape[1:]))
-    keep = (draw >= p).astype(get_dtype()) / (1.0 - p)
+        kept = rows.pack(rng.random(rows.shape + x.data.shape[1:]) >= p)
+    keep = kept.astype(get_dtype()) / (1.0 - p)
     out = _node(x.data * keep, (x,))
     if out._parents:
         out._backward = lambda: x._accum(out.grad * keep, owned=True)
@@ -478,6 +538,8 @@ def backward(loss: Tensor) -> None:
     This consumes the graph. Once a node has passed its gradient on to its
     inputs it drops its gradient, its backward closure and its links to the
     inputs, so reference counting frees the graph while the walk goes on.
+    A node whose gradient passes through unchanged (add, reshape, transpose)
+    hands its gradient buffer to one input instead of a copy.
     Leaves (parameters) keep their accumulated ``.grad``. A graph that
     reaches a node an earlier call consumed raises ValueError.
     """

@@ -161,10 +161,11 @@ def cmd_segment(checkpoint_path, vocab_path, criterion, input_path, output_path)
         limit = model.config.max_len - 1
         for number, line in enumerate(src, 1):
             text = line.rstrip("\n")
-            if len(text) > limit and len(cp.text_tokens(text)) > limit:  # tokens <= chars
+            tokens = cp.text_tokens(text)
+            if len(tokens) > limit:
                 click.echo(f"note: line {number} has more than {limit} tokens;"
                            " it is segmented in windows of at most that many", err=True)
-            words = model.segment_text(text, criterion, vocab)
+            words = model.segment_text(text, criterion, vocab, tokens=tokens)
             dst.write(" ".join(words) + "\n")
             dst.flush()
 

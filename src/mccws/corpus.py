@@ -80,6 +80,8 @@ def word_tokens(word: str) -> list[str]:
 def text_tokens(text: str) -> list[tuple[str, tuple[int, int]]]:
     """Raw input text as model tokens with their spans in text. Whitespace
     never occurs inside a training sentence, so it is dropped."""
+    if _RUN_OR_WIDE_RE.search(text) is None:
+        return [(c, (i, i + 1)) for i, c in enumerate(text) if not c.isspace()]
     return [(t, span) for t, span in replace_runs_with_spans(normalize_width(text))
             if not t.isspace()]
 

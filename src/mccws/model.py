@@ -13,22 +13,21 @@ real position, sentence by sentence ([N, features], see autodiff.Rows).
 Only attention's scores use the padded [batch, position] layout.
 """
 
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import corpus as cp
 from .autodiff import (
-    Rows, Tensor, cross_entropy, dropout, embedding_lookup, gather_rows, get_dtype,
-    layer_norm, masked_softmax, no_grad, parameter, scatter_rows,
+    Rows, Tensor, attention, cross_entropy, dropout, embedding_lookup, gather_rows, get_dtype,
+    layer_norm, linear, no_grad, parameter,
 )
 from .errors import ConfigError, DataError
 
 NEG_INF = -1e9
 # predict grows a batch only while its [B, H, L+1, L+1] attention-score array
-# has at most this many cells. masked_softmax and the score matmuls stream
-# that array several times, so a batch whose array outgrows a core's L2 cache
+# has at most this many cells. The attention node streams that array several
+# times, so a batch whose array outgrows a core's L2 cache
 # (2 MiB, i.e. 2^18 float64 cells, on the 2-vCPU Xeon it was sized on) waits
 # on memory. On the benchmark's 4-120-token eval lines (4 heads, batch 64),
 # predict ran 515, 563, 577, 525 and 474 sent/s at 2^16 to 2^20 cells, and
@@ -90,15 +89,17 @@ class ForwardOutput:
 
     Rows are packed, sentence by sentence, over real positions only: N1 =
     sum(lengths + 1) rows with each sentence's criterion token first, and
-    N = sum(lengths) character rows. Attention probabilities keep the padded
+    N = sum(lengths) character rows. Attention probabilities are plain
+    arrays, as the attention node returns them, in the padded
     [B, heads, L', L'] layout (L' = L+1 in the encoder, L in the
     contextualizer).
 
     Nothing in the package reads hidden, fused or contextual, but they stay:
     in training they keep three activations alive until the next step's
     forward, which keeps glibc from trimming the freed heap after every step.
-    Without them a 4000-sentence epoch took ~4x the minor page faults and
-    ran ~10% slower (train_sent_per_s).
+    Without them a warm 4000-sentence epoch took ~210k minor page faults
+    instead of 11k-20k and ran ~8% slower (perfbench train fixture, seed
+    4242, one pinned CPU).
     """
 
     hidden: Tensor          # [N1, d_h]
@@ -167,11 +168,6 @@ def init_params(config: ModelConfig, n_unigrams: int, n_bigrams: int,
     return params
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    y = x.matmul(w.transpose())
-    return y + b if b is not None else y
-
-
 class Model:
     """Configuration + parameters + the forward pieces."""
 
@@ -194,30 +190,18 @@ class Model:
 
     # -- attention ----------------------------------------------------------
 
-    def _mha(self, x: Tensor, prefix: str, rows: Rows) -> tuple[Tensor, Tensor]:
+    def _mha(self, x: Tensor, prefix: str, rows: Rows) -> tuple[Tensor, np.ndarray]:
         """Multi-head self-attention over the real rows x [N, d_h] of a
-        padded [B, L] batch; only real positions are attended to. Q, K and V
-        are padded for the scores and the context is packed again before
-        the output projection."""
+        padded [B, L] batch; only real positions are attended to. Four
+        nodes: the Q, K and V projections (three linear nodes, one per
+        stored matrix), one attention node, which pads, scores and packs the
+        context again, and the output projection. Returns (output [N, d_h],
+        probabilities [B, heads, L, L])."""
         p = self.params
-        B, L = rows.shape
-        d = x.shape[-1]
-        H = self.config.heads
-        dk = d // H
-
-        def split_heads(t):
-            return scatter_rows(t, rows).reshape(B, L, H, dk).transpose(0, 2, 1, 3)  # [B,H,L,dk]
-
-        q = split_heads(_linear(x, p[f"{prefix}.wq"], p[f"{prefix}.bq"]))
-        k = split_heads(_linear(x, p[f"{prefix}.wk"], p[f"{prefix}.bk"]))
-        v = split_heads(_linear(x, p[f"{prefix}.wv"], p[f"{prefix}.bv"]))
-
-        scores = q.matmul(k.transpose(0, 1, 3, 2))  # [B,H,L,L]
-        bias = np.where(rows.valid, 0.0, NEG_INF).astype(get_dtype())
-        attn = masked_softmax(scores, 1.0 / math.sqrt(dk), bias[:, None, None, :])
-        ctx = gather_rows(attn.matmul(v).transpose(0, 2, 1, 3), rows).reshape(rows.count, d)
-        out = _linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
-        return out, attn
+        q, k, v = (linear(x, p[f"{prefix}.w{n}"], p[f"{prefix}.b{n}"]) for n in "qkv")
+        key_bias = np.where(rows.valid, 0.0, NEG_INF).astype(get_dtype())
+        ctx, attn = attention(q, k, v, rows, self.config.heads, key_bias)
+        return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"]), attn
 
     def _drop(self, x: Tensor, rows: Rows, training: bool, rng) -> Tensor:
         return dropout(x, self.config.dropout_p, training, rng, rows=rows)
@@ -242,11 +226,11 @@ class Model:
         for i in range(self.config.encoder_layers):
             a, attn = self._mha(h, f"enc{i}.attn", rows)
             if attn_out is not None:
-                attn_out[f"enc{i}"] = attn.data
+                attn_out[f"enc{i}"] = attn
             h = layer_norm(h + self._drop(a, rows, training, rng),
                            p[f"enc{i}.ln1.gain"], p[f"enc{i}.ln1.bias"])
-            f = _linear(_linear(h, p[f"enc{i}.ffn.w1"], p[f"enc{i}.ffn.b1"]).relu(),
-                        p[f"enc{i}.ffn.w2"], p[f"enc{i}.ffn.b2"])
+            f = linear(linear(h, p[f"enc{i}.ffn.w1"], p[f"enc{i}.ffn.b1"]).relu(),
+                       p[f"enc{i}.ffn.w2"], p[f"enc{i}.ffn.b2"])
             h = layer_norm(h + self._drop(f, rows, training, rng),
                            p[f"enc{i}.ln2.gain"], p[f"enc{i}.ln2.bias"])
         return h
@@ -260,13 +244,13 @@ class Model:
         Returns (fused, gate); gate is None when bigrams are disabled.
         """
         p = self.params
-        h_proj = _linear(h, p["fuse.w_h"], p["fuse.b_h"]).tanh()
+        h_proj = linear(h, p["fuse.w_h"], p["fuse.b_h"]).tanh()
         if not self.config.use_bigram:
             return h_proj, None
         if e is None:
             raise ConfigError("bigram embeddings required when use_bigram is set")
-        e_proj = _linear(e, p["fuse.w_e"], p["fuse.b_e"]).tanh()
-        gate = (_linear(h, p["fuse.w_fh"]) + _linear(e, p["fuse.w_fe"]) + p["fuse.b_f"]).sigmoid()
+        e_proj = linear(e, p["fuse.w_e"], p["fuse.b_e"]).tanh()
+        gate = (linear(h, p["fuse.w_fh"]) + linear(e, p["fuse.w_fe"]) + p["fuse.b_f"]).sigmoid()
         fused = gate * h_proj + (1.0 - gate) * e_proj
         return fused, gate
 
@@ -280,7 +264,7 @@ class Model:
         p = self.params
         a, attn = self._mha(fused, "ctx.attn", rows)
         if attn_out is not None:
-            attn_out["ctx"] = attn.data
+            attn_out["ctx"] = attn
         return layer_norm(fused + self._drop(a, rows, training, rng),
                           p["ctx.ln.gain"], p["ctx.ln.bias"])
 
@@ -288,12 +272,12 @@ class Model:
 
     def decode_labels(self, contextual: Tensor) -> Tensor:
         """Per-position logits over the BMES alphabet."""
-        return _linear(contextual, self.params["dec.w_o"], self.params["dec.b_o"])
+        return linear(contextual, self.params["dec.w_o"], self.params["dec.b_o"])
 
     def classify_criterion(self, hidden: Tensor, rows: Rows) -> Tensor:
         """Criterion logits [B, num_criteria] from the criterion-token rows
         of hidden only; rows picks them out of hidden's rows."""
-        return _linear(gather_rows(hidden, rows), self.params["cls.w_c"], self.params["cls.b_c"])
+        return linear(gather_rows(hidden, rows), self.params["cls.w_c"], self.params["cls.b_c"])
 
     # -- full forward ----------------------------------------------------------------------
 
@@ -377,16 +361,18 @@ class Model:
                 offset += sizes[i]
         return labels, np.array(criteria, dtype=np.int64)
 
-    def segment_text(self, text: str, criterion_name: str, vocab: cp.Vocab) -> list[str]:
+    def segment_text(self, text: str, criterion_name: str, vocab: cp.Vocab,
+                     tokens: list[tuple[str, tuple[int, int]]] | None = None) -> list[str]:
         """Segment raw text under the named criterion, through predict.
 
         Latin/digit runs are re-emitted verbatim from the original text.
         Whitespace is dropped before the forward pass and always ends a word.
         Text of more than max_len - 1 tokens is segmented in consecutive
         windows that fit (see text_windows), all in one predict call.
+        tokens is cp.text_tokens(text), for a caller that already has it.
         """
         cid = vocab.criterion_id(criterion_name)
-        toks_spans = cp.text_tokens(text)
+        toks_spans = cp.text_tokens(text) if tokens is None else tokens
         windows = [toks_spans[lo:hi] for lo, hi in
                    text_windows([span for _, span in toks_spans], self.config.max_len - 1)]
         labels, _ = self.predict(

@@ -5,8 +5,8 @@ import pytest
 
 from mccws import autodiff as ad
 from mccws.autodiff import (
-    Rows, Tensor, backward, cross_entropy, dropout, embedding_lookup, gather_rows, layer_norm,
-    make_rng, masked_softmax, parameter, scatter_rows, softmax,
+    Rows, Tensor, attention, backward, cross_entropy, dropout, embedding_lookup, gather_rows,
+    layer_norm, linear, make_rng, parameter, scatter_rows, softmax,
 )
 
 from gradutil import assert_grads_match, finite_diff, max_violation
@@ -163,62 +163,48 @@ def test_softmax_grad():
     assert_grads_match(loss_fn, [x])
 
 
-# -- masked_softmax ----------------------------------------------------------------
+# -- linear --------------------------------------------------------------------
 
-def attention_inputs(seed):
-    """Scores [2, 3, 4, 5] and a [2, 1, 1, 5] key mask: sentence 0 has three
-    real keys, sentence 1 only key 0, its criterion token."""
-    scores = make_rng(seed).normal(size=(2, 3, 4, 5)) * 4.0
-    valid = np.array([[True, True, True, False, False],
-                      [True, False, False, False, False]])
-    bias = np.where(valid, 0.0, -1e9).astype(ad.get_dtype())[:, None, None, :]
-    return scores, bias
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_linear_equals_composite_and_grad(bias, transposed):
+    # one node, bit-identical in float64 to x.matmul(w.transpose()) (+ b);
+    # transposed feeds a non-contiguous x
+    rng = make_rng(30)
+    x = parameter(rng.normal(size=(3, 4) if transposed else (4, 3)))
+    w = parameter(rng.normal(size=(5, 3)))
+    b = parameter(rng.normal(size=5)) if bias else None
+    r = Tensor(rng.normal(size=(4, 5)))
+    params = [x, w] + ([b] if bias else [])
 
+    def lhs():
+        return x.transpose() if transposed else x
 
-def test_masked_softmax_equals_composite():
-    # float64 output and gradient are bit-identical to softmax(scores * scale + bias)
-    scores, bias = attention_inputs(20)
-    w = Tensor(make_rng(21).normal(size=scores.shape))
-    scale = 1.0 / math.sqrt(2)
-    fused, ref = parameter(scores), parameter(scores.copy())
-    y = masked_softmax(fused, scale, bias)
-    y_ref = softmax(ref * scale + bias)
-    assert np.array_equal(y.data, y_ref.data)
-    backward((y * w).sum())
-    backward((y_ref * w).sum())
-    assert np.array_equal(fused.grad, ref.grad)
+    def loss(fused=True):
+        if fused:
+            y = linear(lhs(), w, b)
+        else:
+            y = lhs().matmul(w.transpose())
+            y = y + b if bias else y
+        return (y.tanh() * r).sum()
 
-
-def test_masked_softmax_grad():
-    scores, bias = attention_inputs(22)
-    x = parameter(scores)
-    w = Tensor(make_rng(23).normal(size=scores.shape))
-
-    def loss():
-        return (masked_softmax(x, 0.7, bias) * w).sum()
-
+    assert lhs().data.flags.c_contiguous != transposed
+    backward(loss(fused=False))
+    ref = [p.grad for p in params]
+    ad.zero_grads(params)
+    assert np.array_equal(loss().data, loss(fused=False).data)
     backward(loss())
-    assert_grads_match(lambda: loss().item(), [x])
+    for p, g in zip(params, ref):
+        assert np.array_equal(p.grad, g)
+    assert_grads_match(lambda: loss().item(), params)
+    assert_no_shared_grads(params)
 
 
-@pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_masked_softmax_masked_keys_get_zero(dtype):
-    ad.set_dtype(dtype)
-    try:
-        scores, bias = attention_inputs(24)
-        y = masked_softmax(Tensor(scores), 0.5, bias).data
-    finally:
-        ad.set_dtype("float64")
-    assert (y[0, ..., 3:] == 0.0).all() and (y[0, ..., :3] > 0.0).all()
-    assert np.abs(y.sum(axis=-1) - 1.0).max() < 1e-6
-    # only the criterion token is a real key: every row is one-hot on it
-    assert (y[1, ..., 0] == 1.0).all() and (y[1, ..., 1:] == 0.0).all()
-
-
-def test_masked_softmax_rejects_mask_that_grows_scores():
-    scores, _ = attention_inputs(25)
-    with pytest.raises(ValueError, match="broadcast"):
-        masked_softmax(Tensor(scores[:, :, :1, :]), 1.0, np.zeros((2, 1, 4, 5)))
+def test_linear_refuses_bad_shapes():
+    w = Tensor(np.ones((5, 3)))
+    for x, b in [((2, 4, 3), None), ((4, 2), None), ((4, 3), (3,))]:
+        with pytest.raises(ValueError, match="linear"):
+            linear(Tensor(np.ones(x)), w, None if b is None else Tensor(np.ones(b)))
 
 
 # -- layer_norm --------------------------------------------------------------------
@@ -365,6 +351,110 @@ def test_row_ops_keep_float32():
             assert packed.data.dtype == np.float32 and padded.data.dtype == np.float32
             backward(packed.sum() + padded.sum())
             assert x.grad.dtype == np.float32 and y.grad.dtype == np.float32
+    finally:
+        ad.set_dtype("float64")
+
+
+# -- attention ---------------------------------------------------------------------
+
+def attention_inputs(seed, valid, d=4):
+    """Packed q, k, v parameters [count, d] for the real rows of valid."""
+    rows = Rows(valid)
+    rng = make_rng(seed)
+    return rows, [parameter(rng.normal(size=(rows.count, d)) * 2.0) for _ in range(3)]
+
+
+def key_bias_of(valid):
+    return np.where(valid, 0.0, -1e9).astype(ad.get_dtype())
+
+
+def attention_reference(q, k, v, rows, heads, key_bias):
+    """The composition attention fuses, from the separate taped ops."""
+    B, L = rows.shape
+    d = q.data.shape[1]
+    dk = d // heads
+
+    def split(t):
+        return scatter_rows(t, rows).reshape(B, L, heads, dk).transpose(0, 2, 1, 3)
+
+    scores = split(q).matmul(split(k).transpose(0, 1, 3, 2))
+    p = softmax(scores * (1.0 / math.sqrt(dk)) + key_bias[:, None, None, :])
+    ctx = gather_rows(p.matmul(split(v)).transpose(0, 2, 1, 3), rows).reshape(rows.count, d)
+    return ctx, p
+
+
+@pytest.mark.parametrize("valid", [PADDED_VALID, np.ones((2, 3), dtype=bool)],
+                         ids=["padded", "dense"])
+def test_attention_equals_composite(valid):
+    # float64 context, probabilities and gradients are bit-identical to the
+    # composition of separate ops
+    rows, qkv = attention_inputs(20, valid)
+    ref_qkv = [parameter(t.data.copy()) for t in qkv]
+    w = Tensor(make_rng(21).normal(size=(rows.count, 4)))
+    ctx, p = attention(*qkv, rows, 2, key_bias_of(valid))
+    ref_ctx, ref_p = attention_reference(*ref_qkv, rows, 2, key_bias_of(valid))
+    assert np.array_equal(ctx.data, ref_ctx.data)
+    assert np.array_equal(p, ref_p.data)
+    backward((ctx * w).sum())
+    backward((ref_ctx * w).sum())
+    for t, ref in zip(qkv, ref_qkv):
+        assert np.array_equal(t.grad, ref.grad)
+    assert_no_shared_grads(qkv)
+
+
+@pytest.mark.parametrize("valid", [PADDED_VALID, np.ones((2, 3), dtype=bool)],
+                         ids=["padded", "dense"])
+def test_attention_grad(valid):
+    rows, qkv = attention_inputs(22, valid)
+    w = Tensor(make_rng(23).normal(size=(rows.count, 4)))
+
+    def loss():
+        return (attention(*qkv, rows, 2, key_bias_of(valid))[0] * w).sum()
+
+    backward(loss())
+    assert_grads_match(lambda: loss().item(), qkv)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_attention_masked_keys_get_zero(dtype):
+    # sentence 0 has three real keys, sentence 1 only key 0, its criterion token
+    valid = np.array([[True, True, True, False, False],
+                      [True, False, False, False, False]])
+    ad.set_dtype(dtype)
+    try:
+        rows, qkv = attention_inputs(24, np.ones((2, 5), dtype=bool), d=6)
+        _, y = attention(*qkv, rows, 3, key_bias_of(valid) * 4.0)
+        _, ref = attention_reference(*qkv, rows, 3, key_bias_of(valid) * 4.0)
+    finally:
+        ad.set_dtype("float64")
+    assert y.dtype == np.dtype(dtype)
+    assert np.array_equal(y, ref.data)  # softmax is the reference
+    assert (y[0, ..., 3:] == 0.0).all() and (y[0, ..., :3] > 0.0).all()
+    assert np.abs(y.sum(axis=-1) - 1.0).max() < 1e-6
+    # only the criterion token is a real key: every row is one-hot on it
+    assert (y[1, ..., 0] == 1.0).all() and (y[1, ..., 1:] == 0.0).all()
+
+
+def test_attention_rejects_mask_that_grows_scores():
+    rows, qkv = attention_inputs(25, PADDED_VALID)
+    for shape in [(3, 4, 4), (3, 1, 4), (3, 5), (1, 4)]:
+        with pytest.raises(ValueError, match="key_bias"):
+            attention(*qkv, rows, 2, np.zeros(shape))
+    with pytest.raises(ValueError, match="heads"):
+        attention(*qkv, rows, 3, key_bias_of(PADDED_VALID))
+
+
+def test_linear_and_attention_keep_float32():
+    ad.set_dtype("float32")
+    try:
+        for valid in (PADDED_VALID, np.ones((2, 3), dtype=bool)):
+            rows, (x, _, _) = attention_inputs(26, valid)
+            w, b = parameter(np.eye(4)), parameter(np.ones(4))
+            y = linear(x, w, b)
+            ctx, p = attention(y, x, y, rows, 2, key_bias_of(valid))
+            assert y.data.dtype == ctx.data.dtype == p.dtype == np.float32
+            backward(ctx.sum())
+            assert x.grad.dtype == w.grad.dtype == b.grad.dtype == np.float32
     finally:
         ad.set_dtype("float64")
 
@@ -539,22 +629,24 @@ def every_op_graph(seed):
     whole = parameter(rng.normal(size=(4, 6)))  # the same, with no padding
     ids = rng.integers(0, 7, size=5)
     targets = rng.integers(0, 6, size=5)
-    key_bias = np.array([0.0, -1e9, 0.0, 0.0, -1e9, 0.0])
+    wq = parameter(rng.normal(size=(6, 6)))
     rows = Rows(PADDED_VALID)
     dense = Rows(np.ones((2, 2), dtype=bool))
+    key_bias = np.where(PADDED_VALID, 0.0, -1e9)
+    key_bias[1, 2] = -1e9  # a real key masked too
 
     def loss():
         h = embedding_lookup(table, ids)
-        h = h.matmul(w.transpose()) + b
+        h = linear(h, w, b) + h.matmul(w.transpose())
         h = layer_norm(h.tanh() + h.sigmoid() + h.relu(), g, bias)
         h = gather_rows(scatter_rows(h, rows) * scatter_rows(packed, rows), rows)
+        h, _ = attention(linear(h, wq), h, h + h, rows, 2, key_bias)
         h = (h * gather_rows(padded, rows)).reshape(5, 6)[1:, :]
         h = h * gather_rows(scatter_rows(whole, dense), dense)
         p = softmax(h)
-        m = masked_softmax(h, 0.5, key_bias)
-        return cross_entropy(h, targets[1:]) + (p * p).sum() * 0.5 + (m * m).sum()
+        return cross_entropy(h, targets[1:]) + (p * p).sum() * 0.5
 
-    return [table, w, b, g, bias, padded, packed, whole], loss
+    return [table, w, b, g, bias, padded, packed, whole, wq], loss
 
 
 def test_every_op_composite_fd_multiseed():
@@ -612,6 +704,10 @@ def test_getitem_grad():
 
     backward((x[1:, :2] * x[1:, :2]).sum())
     assert_grads_match(loss_fn, [x])
+    # a repeated index adds each of its gradients
+    t = parameter(np.arange(3.0))
+    backward((t[np.array([0, 0, 2])] * Tensor([1.0, 10.0, 100.0])).sum())
+    assert t.grad.tolist() == [11.0, 0.0, 100.0]
 
 
 def test_transpose_reshape_grad():

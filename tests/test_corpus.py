@@ -78,6 +78,17 @@ def test_word_tokens_equal_the_regex_path(word):
     assert word_tokens(word) == replace_runs(normalize_width(word))
 
 
+@settings(deadline=None)
+@given(st.text(st.one_of(st.characters(), st.sampled_from(_WIDTH_EDGES + "\t\r\n\x0b\x0c\x85\xa0\u2028"))))
+@example("李娜 进入\u3000")
+@example(" \t李\r\n")
+def test_text_tokens_equal_the_regex_path(text):
+    # text with nothing to normalize or collapse skips the regex, whitespace included
+    assert corpus.text_tokens(text) == [
+        (t, span) for t, span in replace_runs_with_spans(normalize_width(text))
+        if not t.isspace()]
+
+
 def test_replace_runs_spans_cover_input():
     text = "x李1娜24ab年"
     toks = replace_runs_with_spans(text)
