@@ -7,6 +7,10 @@ reverse topological order and accumulates each node's gradient fully before
 propagating it, which makes gradients bit-deterministic for a fixed graph.
 The walk consumes the graph, freeing each node once it has propagated.
 
+It holds the ops the model runs: the fused ``linear`` and ``attention``
+nodes, layer norm, dropout, embedding lookup, row gathering, summed
+cross-entropy, and pointwise, reshape and sum methods on Tensor.
+
 Precision is a module-level switch: float64 by default (gradient checks
 need the headroom), float32 available for fast runs.
 
@@ -70,17 +74,6 @@ class Tensor:
         self._parents = ()
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
-
     def item(self) -> float:
         return float(self.data.reshape(()))
 
@@ -128,17 +121,11 @@ class Tensor:
             return out
         raise ValueError(f"add shape mismatch: {self.data.shape} vs {other.data.shape}")
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self):
         out = _node(-self.data, (self,))
         if out._parents:
             out._backward = lambda: self._accum(-out.grad, owned=True)
         return out
-
-    def __sub__(self, other):
-        return self.__add__(-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -160,62 +147,12 @@ class Tensor:
             out._backward = back
         return out
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        return self.__mul__(1.0 / float(other))
-
-    def matmul(self, other: "Tensor") -> "Tensor":
-        """Matrix product of two 2-D operands, or of two stacks whose
-        leading dims are equal; anything else is a ValueError."""
-        a, b = self.data, other.data
-        if a.ndim < 2 or b.ndim < 2:
-            raise ValueError("matmul needs >= 2-D operands")
-        if a.shape[-1] != b.shape[-2]:
-            raise ValueError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-        if a.ndim != b.ndim or (a.ndim > 2 and a.shape[:-2] != b.shape[:-2]):
-            raise ValueError(f"matmul leading dims disagree: {a.shape} @ {b.shape}")
-        out = _node(np.matmul(a, b), (self, other))
-        if out._parents:
-            def back():
-                g = out.grad
-                if self.requires_grad:
-                    self._accum(np.matmul(g, np.swapaxes(b, -1, -2)), owned=True)
-                if other.requires_grad:
-                    other._accum(np.matmul(np.swapaxes(a, -1, -2), g), owned=True)
-            out._backward = back
-        return out
-
     # -- shape ops ------------------------------------------------------------
 
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, shape: tuple) -> "Tensor":
         out = _node(self.data.reshape(shape), (self,))
         if out._parents:
             out._backward = lambda: self._accum(out.grad.reshape(self.data.shape), owned=True)
-        return out
-
-    def transpose(self, *axes) -> "Tensor":
-        if not axes:
-            axes = tuple(reversed(range(self.data.ndim)))
-        elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        out = _node(self.data.transpose(axes), (self,))
-        if out._parents:
-            inv = sorted(range(len(axes)), key=axes.__getitem__)
-            out._backward = lambda: self._accum(out.grad.transpose(inv), owned=True)
-        return out
-
-    def __getitem__(self, key) -> "Tensor":
-        out = _node(self.data[key], (self,))
-        if out._parents:
-            def back():
-                g = np.zeros_like(self.data)
-                np.add.at(g, key, out.grad)  # a repeated index adds each of its gradients
-                self._accum(g, owned=True)
-            out._backward = back
         return out
 
     # -- reductions -----------------------------------------------------------
@@ -224,13 +161,6 @@ class Tensor:
         out = _node(self.data.sum(), (self,))
         if out._parents:
             out._backward = lambda: self._accum(np.full_like(self.data, out.grad), owned=True)
-        return out
-
-    def mean(self) -> "Tensor":
-        out = _node(self.data.mean(), (self,))
-        if out._parents:
-            out._backward = lambda: self._accum(np.full_like(self.data, out.grad / self.data.size),
-                                                owned=True)
         return out
 
     # -- pointwise nonlinearities ----------------------------------------------
@@ -294,23 +224,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
                 w._accum(np.matmul(x.data.T, g).T, owned=True)
             if b is not None:
                 b._accum(g.sum(axis=0), owned=True)
-        out._backward = back
-    return out
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Row-stochastic softmax with max-subtraction for stability.
-
-    The model's softmax is inside attention; this plain form stays public as
-    the reference that attention's tests compare against."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = _node(y, (x,))
-    if out._parents:
-        def back():
-            g = out.grad
-            x._accum((g - (g * y).sum(axis=axis, keepdims=True)) * y, owned=True)
         out._backward = back
     return out
 
@@ -384,18 +297,6 @@ def gather_rows(x: Tensor, rows: Rows) -> Tensor:
     return out
 
 
-def scatter_rows(x: Tensor, rows: Rows) -> Tensor:
-    """Unpack real rows x [rows.count, *features] into a padded
-    [*rows.shape, *features] array that is zero at padding; the inverse of
-    gather_rows, whose forward is this op's backward."""
-    if rows.index is None:
-        return x.reshape(rows.shape + x.data.shape[1:])
-    out = _node(rows.unpack(x.data), (x,))
-    if out._parents:
-        out._backward = lambda: x._accum(rows.pack(out.grad), owned=True)
-    return out
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, rows: Rows, heads: int,
               key_bias: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Multi-head scaled dot-product attention over the real rows of a
@@ -455,14 +356,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, rows: Rows, heads: int,
     return out, p
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None,
-            rows: Rows | None = None) -> Tensor:
+def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None,
+            rows: Rows) -> Tensor:
     """Zero each element with probability p and rescale survivors by 1/(1-p)
     in training mode; identity in eval mode.
 
-    When x holds the real rows of a padded array, rows says which: the mask
-    is drawn over the padded shape and its real rows kept, so the generator
-    advances as it would over the padded array.
+    x holds the real rows [rows.count, *features] of a padded array: the
+    mask is drawn over the padded shape and its real rows kept, so the
+    generator advances as it would over the padded array.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability {p} outside [0, 1)")
@@ -470,10 +371,7 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    if rows is None:
-        kept = rng.random(x.data.shape) >= p
-    else:
-        kept = rows.pack(rng.random(rows.shape + x.data.shape[1:]) >= p)
+    kept = rows.pack(rng.random(rows.shape + x.data.shape[1:]) >= p)
     keep = kept.astype(get_dtype()) / (1.0 - p)
     out = _node(x.data * keep, (x,))
     if out._parents:
@@ -497,16 +395,11 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return out
 
 
-def cross_entropy(logits: Tensor, targets, reduction: str = "mean") -> Tensor:
-    """Negative log likelihood of integer targets under softmax(logits).
-
-    logits are [N, K] with N >= 1; "mean" averages over the N rows, "sum"
-    adds them.
-    """
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Negative log likelihood of integer targets under softmax(logits),
+    summed over the rows of logits [N, K], N >= 1."""
     if logits.data.ndim != 2:
         raise ValueError("cross_entropy expects [N, K] logits")
-    if reduction not in ("mean", "sum"):
-        raise ValueError(f"unknown reduction {reduction!r}")
     targets = np.asarray(targets, dtype=np.int64)
     n, k = logits.data.shape
     if targets.shape != (n,):
@@ -519,15 +412,13 @@ def cross_entropy(logits: Tensor, targets, reduction: str = "mean") -> Tensor:
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     nll = lse - shifted[np.arange(n), targets]
-    total = float(nll.sum())
-    scale = 1.0 / n if reduction == "mean" else 1.0
-    out = _node(np.asarray(total * scale), (logits,))
+    out = _node(np.asarray(float(nll.sum())), (logits,))
     if out._parents:
         def back():
             p = np.exp(shifted)
             p /= p.sum(axis=1, keepdims=True)
             p[np.arange(n), targets] -= 1.0
-            logits._accum(p * (out.grad * scale), owned=True)
+            logits._accum(p * out.grad, owned=True)
         out._backward = back
     return out
 
@@ -538,7 +429,7 @@ def backward(loss: Tensor) -> None:
     This consumes the graph. Once a node has passed its gradient on to its
     inputs it drops its gradient, its backward closure and its links to the
     inputs, so reference counting frees the graph while the walk goes on.
-    A node whose gradient passes through unchanged (add, reshape, transpose)
+    A node whose gradient passes through unchanged (add, reshape)
     hands its gradient buffer to one input instead of a copy.
     Leaves (parameters) keep their accumulated ``.grad``. A graph that
     reaches a node an earlier call consumed raises ValueError.

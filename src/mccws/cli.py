@@ -33,9 +33,10 @@ def parse_pairs(pairs, what: str) -> dict[str, str]:
     return out
 
 
-def load_criterion_corpora(pairs, vocab: cp.Vocab) -> dict[str, list[cp.RawSentence]]:
+def load_criterion_corpora(pairs, vocab: cp.Vocab, option: str) -> dict[str, list[cp.RawSentence]]:
+    """The NAME=PATH pairs of --option, each read as its criterion's corpus."""
     corpora = {}
-    for name, path in parse_pairs(pairs, "corpus").items():
+    for name, path in parse_pairs(pairs, option).items():
         corpora[name] = cp.load_corpus(path, vocab.criterion_id(name))
     return corpora
 
@@ -107,10 +108,10 @@ def cmd_train(corpora, dev_corpora, vocab_path, out, metrics_log,
     model = Model.for_vocab(config, vocab, seed=seed)
 
     train_sents = []
-    for name, raws in load_criterion_corpora(corpora, vocab).items():
+    for name, raws in load_criterion_corpora(corpora, vocab, "corpus").items():
         train_sents.extend(tr.prepare_for_training(raws, vocab, config.max_len))
     dev_sents = []
-    for name, raws in load_criterion_corpora(dev_corpora, vocab).items():
+    for name, raws in load_criterion_corpora(dev_corpora, vocab, "dev").items():
         dev_sents.extend(tr.prepare_for_eval(raws, vocab, config.max_len))
 
     cfg = tr.TrainConfig(epochs=epochs, batch_size=batch_size, seed=seed,
@@ -183,7 +184,7 @@ def cmd_evaluate(checkpoint_path, vocab_path, gold_corpora, report_path, batch_s
     arithmetic-mean row when several criteria are given."""
     vocab = cp.Vocab.load(vocab_path)
     model, _, _ = ckpt.load_checkpoint(checkpoint_path, vocab)
-    corpora = load_criterion_corpora(gold_corpora, vocab)
+    corpora = load_criterion_corpora(gold_corpora, vocab, "gold")
     for name, raws in corpora.items():
         if not raws:
             raise DataError(f"gold file for criterion {name!r} has no sentences")

@@ -39,6 +39,8 @@ _RUN_RE = re.compile(r"([A-Za-z]+)|([0-9]+)|(.)", re.DOTALL)
 _RUN_OR_WIDE_RE = re.compile("[A-Za-z0-9\uFF01-\uFF5E\u3000]")
 
 _CRITERION_NAME_RE = re.compile(r"^[a-z0-9_\-]+$")
+# a table id in a vocab file: a decimal without leading zeros
+_ID_RE = re.compile(r"0|[1-9][0-9]{0,8}")
 
 
 def normalize_width(text: str) -> str:
@@ -395,51 +397,82 @@ class Vocab:
 
     @classmethod
     def from_text(cls, text: str) -> "Vocab":
+        """Read what to_text writes. Anything else is a DataError that names
+        its line: a table line that is not a new NAME<TAB>ID, a table whose
+        ids are not dense from 0, a criterion without its <name> unigram or
+        its lexicon, an unknown or repeated section."""
         lines = text.splitlines()
         if not lines or not lines[0].startswith(cls.FORMAT + "\t"):
-            raise DataError("not a vocab file (bad header)")
+            raise DataError("line 1: not a vocab file (bad header)")
         version = lines[0].split("\t", 1)[1]
         if version != str(cls.VERSION):
-            raise DataError(f"unsupported vocab version {version}")
-        criteria: dict[str, int] = {}
-        unigrams: dict[str, int] = {}
-        bigrams: dict[str, int] = {}
+            raise DataError(f"line 1: unsupported vocab version {version}")
+        tables = {"criteria": {}, "unigrams": {}, "bigrams": {}}  # name -> (id, line)
         lexicons: dict[str, list[str]] = {}
+        lexicon_lines: dict[str, int] = {}
         section = None
-        for line in lines[1:]:
-            if line.startswith("reserved\t"):
+        for lineno, line in enumerate(lines[1:], start=2):
+            if section is None and line.startswith("reserved\t"):
                 continue
             if line.startswith("[") and line.endswith("]"):
                 section = line[1:-1]
-                if section.startswith("lexicon:"):
-                    lexicons[section.split(":", 1)[1]] = []
-                continue
-            if section == "criteria":
-                name, cid = line.split("\t")
-                criteria[name] = int(cid)
-            elif section == "unigrams":
-                tok, i = line.split("\t")
-                unigrams[tok] = int(i)
-            elif section == "bigrams":
-                pair, i = line.split("\t")
-                bigrams[pair] = int(i)
-            elif section is not None and section.startswith("lexicon:"):
-                lexicons[section.split(":", 1)[1]].append(
-                    line[1:] if line.startswith("\\") else line)
+                name = section.removeprefix("lexicon:")
+                if (name == section and section not in tables) or name in lexicons:
+                    raise DataError(f"line {lineno}: unexpected section [{section}]")
+                if name != section:
+                    lexicons[name], lexicon_lines[name] = [], lineno
+            elif section in tables:
+                name, sep, num = line.partition("\t")
+                if not (name and sep and _ID_RE.fullmatch(num)) or name in tables[section]:
+                    raise DataError(f"line {lineno}: not a new NAME<TAB>ID of [{section}]:"
+                                    f" {line!r:.60}")
+                tables[section][name] = (int(num), lineno)
+            elif section is None:
+                raise DataError(f"line {lineno}: vocab line outside any section: {line!r:.60}")
             else:
-                raise DataError(f"vocab line outside any section: {line!r}")
-        for i, tok in enumerate(RESERVED):
-            if unigrams.get(tok) != i:
-                raise DataError(f"reserved token {tok} has id {unigrams.get(tok)}, expected {i}")
+                lexicons[section.removeprefix("lexicon:")].append(
+                    line[1:] if line.startswith("\\") else line)
+        for section, table in tables.items():
+            seen = set()  # ids unique and below the count are dense from 0
+            for i, lineno in table.values():
+                if i >= len(table) or i in seen:
+                    raise DataError(f"line {lineno}: id {i} in [{section}], whose ids must be"
+                                    f" unique and dense from 0")
+                seen.add(i)
+        for section, reserved in (("unigrams", RESERVED), ("bigrams", (PAD, UNK))):
+            for i, tok in enumerate(reserved):
+                got = tables[section].get(tok)
+                if got is None or got[0] != i:
+                    where = f"line {got[1]}: " if got else ""
+                    raise DataError(f"{where}[{section}] needs the reserved token {tok} at id {i}")
+        if not tables["criteria"]:
+            raise DataError("[criteria] lists no criterion")
+        for name, lineno in lexicon_lines.items():
+            if name not in tables["criteria"]:
+                raise DataError(f"line {lineno}: lexicon of unknown criterion {name!r}")
+        for name, (_, lineno) in tables["criteria"].items():
+            if f"<{name}>" not in tables["unigrams"] or name not in lexicons:
+                raise DataError(f"line {lineno}: criterion {name!r} needs a <{name}> unigram"
+                                f" and a [lexicon:{name}] section")
+        criteria, unigrams, bigrams = ({name: i for name, (i, _) in tables[section].items()}
+                                       for section in ("criteria", "unigrams", "bigrams"))
         return cls(unigrams=unigrams, bigrams=bigrams, criteria=criteria, lexicons=lexicons)
 
     @classmethod
     def load(cls, path) -> "Vocab":
+        """Read a vocab file. Bytes that are not UTF-8, and whatever from_text
+        refuses, are a DataError that names the path and the line."""
         try:
-            with open(path, encoding="utf-8") as fh:
-                return cls.from_text(fh.read())
+            with open(path, "rb") as fh:
+                data = fh.read()
+            return cls.from_text(data.decode("utf-8"))
         except OSError as exc:
             raise DataError(f"cannot read vocab {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise DataError(f"{path}: line {line}: invalid UTF-8 ({exc.reason})") from exc
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
     def sha256(self) -> str:
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()

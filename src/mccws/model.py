@@ -317,8 +317,8 @@ class Model:
             raise DataError("empty batch")
         out = self.forward_batch(ids, bigram_ids, lengths, training=training, rng=rng)
         targets = np.asarray(labels)[np.arange(L1 - 1)[None, :] < lengths[:, None]]
-        label_nll = cross_entropy(out.label_logits, targets, reduction="sum")
-        crit_nll = cross_entropy(out.criterion_logits, criterion_ids, reduction="sum")
+        label_nll = cross_entropy(out.label_logits, targets)
+        crit_nll = cross_entropy(out.criterion_logits, criterion_ids)
         return (label_nll + crit_nll) * (1.0 / B), out
 
     # -- inference ------------------------------------------------------------------------------

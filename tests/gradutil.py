@@ -11,21 +11,21 @@ from mccws import autodiff
 
 
 def finite_diff(loss_fn, params, h: float = 1e-5):
-    """Central-difference gradient of loss_fn() wrt each parameter tensor."""
+    """Central-difference gradient of loss_fn() wrt each parameter tensor.
+    A parameter may be a strided view; each element is written in place."""
     grads = []
     for p in params:
-        g = np.zeros_like(p.data)
-        flat, gflat = p.data.ravel(), g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
+        g = np.zeros(p.data.shape, dtype=p.data.dtype)
+        for i in np.ndindex(p.data.shape):
+            orig = p.data[i]
+            p.data[i] = orig + h
             with autodiff.no_grad():
                 lp = loss_fn()
-            flat[i] = orig - h
+            p.data[i] = orig - h
             with autodiff.no_grad():
                 lm = loss_fn()
-            flat[i] = orig
-            gflat[i] = (lp - lm) / (2.0 * h)
+            p.data[i] = orig
+            g[i] = (lp - lm) / (2.0 * h)
         grads.append(g)
     return grads
 

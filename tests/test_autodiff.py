@@ -3,67 +3,55 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from mccws import autodiff as ad
 from mccws.autodiff import (
     Rows, Tensor, attention, backward, cross_entropy, dropout, embedding_lookup, gather_rows,
-    layer_norm, linear, make_rng, parameter, scatter_rows, softmax,
+    layer_norm, linear, make_rng, parameter,
 )
 
 from gradutil import assert_grads_match, finite_diff, max_violation
 
 
-# -- matmul --------------------------------------------------------------------
-
-def test_matmul_identity():
-    a = Tensor([[1.0, 0.0], [0.0, 1.0]])
-    b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-    assert np.array_equal(a.matmul(b).data, b.data)
-
-
-def test_matmul_small():
-    a = Tensor([[1.0, 2.0]])
-    b = Tensor([[3.0], [4.0]])
-    assert a.matmul(b).data.tolist() == [[11.0]]
-
+# -- matmul: the products inside linear and attention ---------------------------------
 
 def test_matmul_grad_matches_fd():
+    # linear's product x @ w.T
     a = parameter([[1.0, 2.0]])
-    b = Tensor([[3.0], [4.0]])
-    loss = a.matmul(b).sum()
-    backward(loss)
-    fd = finite_diff(lambda: a.matmul(b).sum().item(), [a])[0]
+    w = Tensor([[3.0, 4.0]])
+    backward(linear(a, w).sum())
+    fd = finite_diff(lambda: linear(a, w).sum().item(), [a])[0]
     assert max_violation(fd, a.grad) <= 1.0
     assert np.allclose(a.grad, [[3.0, 4.0]], atol=1e-12)
 
 
+def test_matmul_stacked_and_broadcast_grad():
+    # attention's stacked products over [B, heads, L, dk], then a linear
+    # layer whose bias is added to every row
+    valid = np.ones((2, 3), dtype=bool)
+    rows, qkv = attention_inputs(0, valid)
+    w = parameter(make_rng(1).normal(size=(3, 4)))
+    c = parameter(make_rng(2).normal(size=3))
+
+    def loss():
+        ctx, _ = attention(*qkv, rows, 2, key_bias_of(valid))
+        return linear(ctx, w, c).tanh().sum()
+
+    backward(loss())
+    assert_grads_match(lambda: loss().item(), qkv + [w, c])
+
+
 def test_matmul_shape_mismatch():
-    with pytest.raises(ValueError):
-        Tensor([[1.0, 2.0]]).matmul(Tensor([[1.0, 2.0]]))
+    # linear's x @ w.T needs x [N, in] and w [out, in]
+    with pytest.raises(ValueError, match="linear"):
+        linear(Tensor([[1.0, 2.0]]), Tensor([[1.0, 2.0, 3.0]]))
 
 
 def test_matmul_refuses_unequal_leading_dims():
-    # only 2-D @ 2-D and stacks with equal leading dims; no broadcasting
-    for left, right in [((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5)),
-                        ((2, 3, 4), (3, 4, 5)), ((1, 3, 4), (2, 4, 5)),
-                        ((2, 3, 4), (2, 2, 4, 5))]:
-        with pytest.raises(ValueError, match="leading dims"):
-            Tensor(np.ones(left)).matmul(Tensor(np.ones(right)))
-
-
-def test_matmul_stacked_and_broadcast_grad():
-    # a stack times a stack, then its rows times a matrix plus a bias
-    # broadcast over them, as attention and the packed linear layers do
-    rng = make_rng(0)
-    a = parameter(rng.normal(size=(2, 3, 4)))
-    b = parameter(rng.normal(size=(2, 4, 5)))
-    w = parameter(rng.normal(size=(5, 3)))
-    c = parameter(rng.normal(size=3))
-
-    def loss():
-        return ((a.matmul(b).reshape(6, 5).matmul(w) + c).tanh()).sum()
-
-    backward(loss())
-    assert_grads_match(lambda: loss().item(), [a, b, w, c])
+    # only 2-D rows: a stack of rows is refused, not broadcast
+    for x, w in [((2, 4, 3), (5, 3)), ((4, 3), (2, 5, 3)), ((2, 4, 3), (2, 5, 3))]:
+        with pytest.raises(ValueError, match="linear"):
+            linear(Tensor(np.ones(x)), Tensor(np.ones(w)))
 
 
 def split_heads(x):
@@ -72,8 +60,8 @@ def split_heads(x):
 
 
 def merge_heads(x):
-    """[2, 2, 3, 2] -> [2, 3, 4], as attention merges heads."""
-    return x.transpose(0, 2, 1, 3).reshape(2, 3, 4)
+    """[2, 2, 3, 2] -> [2, 3, 2, 2], the strided view attention merges heads from."""
+    return x.transpose(0, 2, 1, 3)
 
 
 @pytest.mark.parametrize("shape, view", [
@@ -83,84 +71,96 @@ def merge_heads(x):
     ((2, 2, 3, 2), merge_heads),
 ])
 def test_matmul_folded_2d_right_grad(shape, view):
-    # [..., d] with its leading dims folded into rows, @ [d, k]: the packed
-    # model's linear layers; the right operand w.T is a non-contiguous view
+    # [..., d], possibly a strided view, with its leading dims folded into
+    # rows by reshape, through linear: x @ w.T, whose right operand is a
+    # non-contiguous view of the stored w
     rng = make_rng(13)
-    x = parameter(rng.normal(size=shape))
-    lhs = view or (lambda t: t)
-    d = lhs(x).shape[-1]
+    base = rng.normal(size=shape)
+    x = parameter(view(base) if view else base)
+    d = x.data.shape[-1]
     w = parameter(rng.normal(size=(5, d)))
     r = Tensor(rng.normal(size=(x.data.size // d, 5)))
 
     def loss():
-        return (lhs(x).reshape(-1, d).matmul(w.transpose()) * r).sum()
+        return (linear(x.reshape((-1, d)), w) * r).sum()
 
-    if view is split_heads:
-        assert not lhs(x).data.flags.c_contiguous
-    assert not w.transpose().data.flags.c_contiguous
+    assert x.data.flags.c_contiguous == (view is None)
     backward(loss())
     assert_grads_match(lambda: loss().item(), [x, w])
 
 
 def test_matmul_non_contiguous_operands_grad():
-    # both operands strided views: 2-D transposes, and stacks as attention
-    # builds them from split heads
+    # strided operands: linear's x and w are 2-D transposes, attention's q and
+    # k transposes of [d, count] arrays (it splits heads into strided views)
     rng = make_rng(15)
-    x = parameter(rng.normal(size=(4, 3)))
-    w = parameter(rng.normal(size=(5, 4)))
-    q = parameter(rng.normal(size=(2, 3, 4)))
-    k = parameter(rng.normal(size=(2, 3, 4)))
+    rows = Rows(PADDED_VALID)
+    x = parameter(rng.normal(size=(4, 3)).T)
+    w = parameter(rng.normal(size=(4, 5)).T)
+    q = parameter(rng.normal(size=(4, rows.count)).T)
+    k = parameter(rng.normal(size=(4, rows.count)).T)
+    v = parameter(rng.normal(size=(rows.count, 4)))
+    params = [x, w, q, k, v]
 
     def loss():
-        flat = x.transpose().matmul(w.transpose())  # [3, 4] @ [4, 5]
-        scores = split_heads(q).matmul(split_heads(k).transpose(0, 1, 3, 2))  # [2, 2, 3, 3]
-        return (flat * flat).sum() + (scores * scores).sum()
+        flat = linear(x, w)  # [3, 4] @ [4, 5]
+        ctx, _ = attention(q, k, v, rows, 2, key_bias_of(PADDED_VALID))
+        return (flat * flat).sum() + (ctx * ctx).sum()
 
-    assert not x.transpose().data.flags.c_contiguous
-    assert not split_heads(k).transpose(0, 1, 3, 2).data.flags.c_contiguous
+    assert not any(t.data.flags.c_contiguous for t in (x, w, q, k))
     backward(loss())
-    assert_grads_match(lambda: loss().item(), [x, w, q, k])
-    assert_no_shared_grads([x, w, q, k])
+    assert_grads_match(lambda: loss().item(), params)
+    assert_no_shared_grads(params)
 
 
-# -- softmax ---------------------------------------------------------------------
+# -- softmax: attention's probabilities ---------------------------------------------
 
 def test_softmax_uniform():
-    y = softmax(Tensor([0.0, 0.0, 0.0, 0.0])).data
-    assert np.allclose(y, 0.25, atol=1e-15)
-
-
-def test_softmax_large_inputs_stable():
-    y = softmax(Tensor([1000.0, 0.0])).data
-    assert np.isfinite(y).all()
-    assert y[0] > 1 - 1e-12 and y[1] < 1e-12
+    # equal scores over four real keys
+    rows = Rows(np.ones((1, 4), dtype=bool))
+    zeros = Tensor(np.zeros((4, 2)))
+    _, p = attention(zeros, zeros, zeros, rows, 1, np.zeros((1, 4)))
+    assert np.allclose(p, 0.25, atol=1e-15)
 
 
 def test_softmax_reference_values():
-    # frozen from direct exp/sum evaluation
-    y = softmax(Tensor([1.0, 2.0, 3.0])).data
-    assert np.allclose(y, [0.09003057, 0.24472847, 0.66524096], atol=1e-5)
+    # scores 1, 2, 3 (the key bias alone); frozen from direct exp/sum evaluation
+    rows = Rows(np.ones((1, 3), dtype=bool))
+    zeros = Tensor(np.zeros((3, 2)))
+    _, p = attention(zeros, zeros, zeros, rows, 1, np.array([[1.0, 2.0, 3.0]]))
+    assert np.allclose(p, [0.09003057, 0.24472847, 0.66524096], atol=1e-5)
+
+
+def test_softmax_large_inputs_stable():
+    # attention's softmax over scores of 1000 and 0: finite, one-hot on 1000
+    rows = Rows(np.ones((1, 2), dtype=bool))
+    zeros = Tensor(np.zeros((2, 2)))
+    _, p = attention(zeros, zeros, zeros, rows, 1, np.array([[1000.0, 0.0]]))
+    assert np.isfinite(p).all()
+    assert (p[..., 0] > 1 - 1e-12).all() and (p[..., 1] < 1e-12).all()
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariant():
-    rng = make_rng(1)
-    x = rng.normal(size=(6, 9)) * 5
-    y = softmax(Tensor(x)).data
-    assert np.abs(y.sum(axis=1) - 1.0).max() < 1e-12
-    y_shift = softmax(Tensor(x + 123.456)).data
-    assert np.abs(y - y_shift).max() < 1e-12
+    # a constant added to every key's bias leaves the probabilities as they are
+    rows, qkv = attention_inputs(1, PADDED_VALID)
+    bias = key_bias_of(PADDED_VALID)
+    _, p = attention(*qkv, rows, 2, bias)
+    _, p_shift = attention(*qkv, rows, 2, bias + 123.456)
+    assert np.abs(p.sum(axis=-1) - 1.0).max() < 1e-12
+    assert np.abs(p - p_shift).max() < 1e-12
 
 
 def test_softmax_grad():
-    rng = make_rng(2)
-    x = parameter(rng.normal(size=(3, 5)))
-    w = Tensor(rng.normal(size=(3, 5)))
+    # v is a constant, so q and k reach the loss only through the softmax
+    rows, (q, k, _) = attention_inputs(2, PADDED_VALID)
+    rng = make_rng(3)
+    v = Tensor(rng.normal(size=(rows.count, 4)))
+    w = Tensor(rng.normal(size=(rows.count, 4)))
 
-    def loss_fn():
-        return (softmax(x) * w).sum().item()
+    def loss():
+        return (attention(q, k, v, rows, 2, key_bias_of(PADDED_VALID))[0] * w).sum()
 
-    backward((softmax(x) * w).sum())
-    assert_grads_match(loss_fn, [x])
+    backward(loss())
+    assert_grads_match(lambda: loss().item(), [q, k])
 
 
 # -- linear --------------------------------------------------------------------
@@ -168,43 +168,31 @@ def test_softmax_grad():
 @pytest.mark.parametrize("bias", [True, False])
 @pytest.mark.parametrize("transposed", [False, True])
 def test_linear_equals_composite_and_grad(bias, transposed):
-    # one node, bit-identical in float64 to x.matmul(w.transpose()) (+ b);
-    # transposed feeds a non-contiguous x
+    # one node, bit-identical in float64 to numpy's x @ w.T (+ b); transposed
+    # feeds a non-contiguous x
     rng = make_rng(30)
-    x = parameter(rng.normal(size=(3, 4) if transposed else (4, 3)))
+    x = parameter(rng.normal(size=(3, 4)).T if transposed else rng.normal(size=(4, 3)))
     w = parameter(rng.normal(size=(5, 3)))
     b = parameter(rng.normal(size=5)) if bias else None
     r = Tensor(rng.normal(size=(4, 5)))
     params = [x, w] + ([b] if bias else [])
 
-    def lhs():
-        return x.transpose() if transposed else x
+    def loss():
+        return (linear(x, w, b).tanh() * r).sum()
 
-    def loss(fused=True):
-        if fused:
-            y = linear(lhs(), w, b)
-        else:
-            y = lhs().matmul(w.transpose())
-            y = y + b if bias else y
-        return (y.tanh() * r).sum()
-
-    assert lhs().data.flags.c_contiguous != transposed
-    backward(loss(fused=False))
-    ref = [p.grad for p in params]
-    ad.zero_grads(params)
-    assert np.array_equal(loss().data, loss(fused=False).data)
+    expected = np.matmul(x.data, w.data.T)
+    if bias:
+        expected = expected + b.data
+    assert x.data.flags.c_contiguous != transposed
+    assert np.array_equal(linear(x, w, b).data, expected)
     backward(loss())
-    for p, g in zip(params, ref):
-        assert np.array_equal(p.grad, g)
     assert_grads_match(lambda: loss().item(), params)
     assert_no_shared_grads(params)
 
 
 def test_linear_refuses_bad_shapes():
-    w = Tensor(np.ones((5, 3)))
-    for x, b in [((2, 4, 3), None), ((4, 2), None), ((4, 3), (3,))]:
-        with pytest.raises(ValueError, match="linear"):
-            linear(Tensor(np.ones(x)), w, None if b is None else Tensor(np.ones(b)))
+    with pytest.raises(ValueError, match="linear bias"):
+        linear(Tensor(np.ones((4, 3))), Tensor(np.ones((5, 3))), Tensor(np.ones(3)))
 
 
 # -- layer_norm --------------------------------------------------------------------
@@ -246,20 +234,24 @@ def test_layer_norm_grad():
 
 # -- dropout -----------------------------------------------------------------------
 
+def every_row(n):
+    return Rows(np.ones(n, dtype=bool))
+
+
 def test_dropout_p_zero_identity():
     x = Tensor([1.0, 2.0, 3.0])
-    assert dropout(x, 0.0, training=True, rng=make_rng(0)) is x
+    assert dropout(x, 0.0, training=True, rng=make_rng(0), rows=every_row(3)) is x
 
 
 def test_dropout_eval_identity():
     x = Tensor([1.0, 2.0, 3.0])
-    assert dropout(x, 0.9, training=False) is x
+    assert dropout(x, 0.9, training=False, rng=None, rows=every_row(3)) is x
 
 
 def test_dropout_statistics():
     rng = make_rng(5)
     x = Tensor(np.ones(10_000))
-    y = dropout(x, 0.5, training=True, rng=rng).data
+    y = dropout(x, 0.5, training=True, rng=rng, rows=every_row(10_000)).data
     zero_frac = float((y == 0).mean())
     assert 0.48 <= zero_frac <= 0.52
     assert abs(y.mean() - 1.0) <= 0.05
@@ -267,17 +259,17 @@ def test_dropout_statistics():
 
 def test_dropout_invalid_p():
     with pytest.raises(ValueError):
-        dropout(Tensor([1.0]), 1.0, training=True, rng=make_rng(0))
+        dropout(Tensor([1.0]), 1.0, training=True, rng=make_rng(0), rows=every_row(1))
 
 
 def test_dropout_grad_with_frozen_mask():
     x = parameter(np.linspace(-1, 1, 12).reshape(3, 4))
 
     def loss_fn():
-        y = dropout(x, 0.25, training=True, rng=make_rng(77))
+        y = dropout(x, 0.25, training=True, rng=make_rng(77), rows=every_row(3))
         return (y * y).sum().item()
 
-    y = dropout(x, 0.25, training=True, rng=make_rng(77))
+    y = dropout(x, 0.25, training=True, rng=make_rng(77), rows=every_row(3))
     backward((y * y).sum())
     assert_grads_match(loss_fn, [x])
 
@@ -287,13 +279,13 @@ def test_dropout_over_real_rows_draws_the_padded_mask():
     valid = np.array([[True, True, False], [True, False, False]])
     for rows in (Rows(valid), Rows(np.ones((2, 3), dtype=bool))):
         padded = make_rng(0).normal(size=rows.shape + (4,))
-        x = Tensor(rows.pack(padded))
-        y = dropout(x, 0.5, training=True, rng=make_rng(12), rows=rows).data
-        expected = dropout(Tensor(padded), 0.5, training=True, rng=make_rng(12)).data
-        assert np.array_equal(y, rows.pack(expected))
+        y = dropout(Tensor(rows.pack(padded)), 0.5, training=True, rng=make_rng(12),
+                    rows=rows).data
+        kept = make_rng(12).random(padded.shape) >= 0.5
+        assert np.array_equal(y, rows.pack(padded * (kept.astype(np.float64) / 0.5)))
 
 
-# -- row gather / scatter -----------------------------------------------------------
+# -- row gather ---------------------------------------------------------------------
 
 PADDED_VALID = np.array([[True, True, False, False], [True, True, True, False],
                          [False, False, False, False]])
@@ -311,12 +303,13 @@ def test_rows_index_and_pack():
 
 
 def test_gather_scatter_rows_values():
+    # gather_rows packs the real rows and Rows.unpack scatters them back
     for valid in (PADDED_VALID, np.ones((2, 3), dtype=bool)):
         rows = Rows(valid)
         x = make_rng(13).normal(size=valid.shape + (2, 3))
         packed = gather_rows(Tensor(x), rows)
         assert np.array_equal(packed.data, x[valid])
-        padded = scatter_rows(packed, rows).data
+        padded = rows.unpack(packed.data)
         assert padded.shape == x.shape
         assert np.array_equal(padded[valid], x[valid])
         assert not padded[~valid].any()  # zero at padding
@@ -324,19 +317,17 @@ def test_gather_scatter_rows_values():
 
 @pytest.mark.parametrize("valid", [PADDED_VALID, np.ones((2, 3), dtype=bool)])
 def test_gather_scatter_rows_grad(valid):
+    # gather_rows' backward scatters the gradient back to the padded rows
     rows = Rows(valid)
     rng = make_rng(14)
     x = parameter(rng.normal(size=valid.shape + (3,)))
-    y = parameter(rng.normal(size=(rows.count, 3)))
-    w_packed = Tensor(rng.normal(size=(rows.count, 3)))
-    w_padded = Tensor(rng.normal(size=valid.shape + (3,)))
+    w = Tensor(rng.normal(size=(rows.count, 3)))
 
     def loss():
-        return ((gather_rows(x, rows) * w_packed).tanh().sum()
-                + (scatter_rows(y, rows) * w_padded).sigmoid().sum())
+        return (gather_rows(x, rows) * w).tanh().sum()
 
     backward(loss())
-    assert_grads_match(lambda: loss().item(), [x, y])
+    assert_grads_match(lambda: loss().item(), [x])
     assert not x.grad[~valid].any()  # padding gets no gradient
 
 
@@ -344,13 +335,11 @@ def test_row_ops_keep_float32():
     ad.set_dtype("float32")
     try:
         for valid in (PADDED_VALID, np.ones((2, 3), dtype=bool)):
-            rows = Rows(valid)
             x = parameter(np.ones(valid.shape + (2,)))
-            y = parameter(np.ones((rows.count, 2)))
-            packed, padded = gather_rows(x, rows), scatter_rows(y, rows)
-            assert packed.data.dtype == np.float32 and padded.data.dtype == np.float32
-            backward(packed.sum() + padded.sum())
-            assert x.grad.dtype == np.float32 and y.grad.dtype == np.float32
+            packed = gather_rows(x, Rows(valid))
+            assert packed.data.dtype == np.float32
+            backward(packed.sum())
+            assert x.grad.dtype == np.float32
     finally:
         ad.set_dtype("float64")
 
@@ -368,37 +357,25 @@ def key_bias_of(valid):
     return np.where(valid, 0.0, -1e9).astype(ad.get_dtype())
 
 
-def attention_reference(q, k, v, rows, heads, key_bias):
-    """The composition attention fuses, from the separate taped ops."""
-    B, L = rows.shape
-    d = q.data.shape[1]
-    dk = d // heads
-
-    def split(t):
-        return scatter_rows(t, rows).reshape(B, L, heads, dk).transpose(0, 2, 1, 3)
-
-    scores = split(q).matmul(split(k).transpose(0, 1, 3, 2))
-    p = softmax(scores * (1.0 / math.sqrt(dk)) + key_bias[:, None, None, :])
-    ctx = gather_rows(p.matmul(split(v)).transpose(0, 2, 1, 3), rows).reshape(rows.count, d)
-    return ctx, p
-
-
 @pytest.mark.parametrize("valid", [PADDED_VALID, np.ones((2, 3), dtype=bool)],
                          ids=["padded", "dense"])
 def test_attention_equals_composite(valid):
-    # float64 context, probabilities and gradients are bit-identical to the
-    # composition of separate ops
+    # the float64 context and probabilities are bit-identical to the numpy
+    # composition of the steps attention fuses; the gradients match finite
+    # differences of that composition
     rows, qkv = attention_inputs(20, valid)
-    ref_qkv = [parameter(t.data.copy()) for t in qkv]
-    w = Tensor(make_rng(21).normal(size=(rows.count, 4)))
-    ctx, p = attention(*qkv, rows, 2, key_bias_of(valid))
-    ref_ctx, ref_p = attention_reference(*ref_qkv, rows, 2, key_bias_of(valid))
-    assert np.array_equal(ctx.data, ref_ctx.data)
-    assert np.array_equal(p, ref_p.data)
-    backward((ctx * w).sum())
-    backward((ref_ctx * w).sum())
-    for t, ref in zip(qkv, ref_qkv):
-        assert np.array_equal(t.grad, ref.grad)
+    w = make_rng(21).normal(size=(rows.count, 4))
+    bias = key_bias_of(valid)
+
+    def ref():
+        return reference.attention(*(t.data for t in qkv), valid, 2, bias)
+
+    ctx, p = attention(*qkv, rows, 2, bias)
+    ref_ctx, ref_p = ref()
+    assert np.array_equal(ctx.data, ref_ctx)
+    assert np.array_equal(p, ref_p)
+    backward((ctx * Tensor(w)).sum())
+    assert_grads_match(lambda: float((ref()[0] * w).sum()), qkv)
     assert_no_shared_grads(qkv)
 
 
@@ -420,15 +397,16 @@ def test_attention_masked_keys_get_zero(dtype):
     # sentence 0 has three real keys, sentence 1 only key 0, its criterion token
     valid = np.array([[True, True, True, False, False],
                       [True, False, False, False, False]])
+    every = np.ones((2, 5), dtype=bool)
     ad.set_dtype(dtype)
     try:
-        rows, qkv = attention_inputs(24, np.ones((2, 5), dtype=bool), d=6)
+        rows, qkv = attention_inputs(24, every, d=6)
         _, y = attention(*qkv, rows, 3, key_bias_of(valid) * 4.0)
-        _, ref = attention_reference(*qkv, rows, 3, key_bias_of(valid) * 4.0)
+        _, ref = reference.attention(*(t.data for t in qkv), every, 3, key_bias_of(valid) * 4.0)
     finally:
         ad.set_dtype("float64")
     assert y.dtype == np.dtype(dtype)
-    assert np.array_equal(y, ref.data)  # softmax is the reference
+    assert np.array_equal(y, ref)
     assert (y[0, ..., 3:] == 0.0).all() and (y[0, ..., :3] > 0.0).all()
     assert np.abs(y.sum(axis=-1) - 1.0).max() < 1e-6
     # only the criterion token is a real key: every row is one-hot on it
@@ -494,7 +472,7 @@ def test_embedding_out_of_range():
 def test_cross_entropy_uniform():
     logits = Tensor(np.zeros((3, 4)))
     loss = cross_entropy(logits, [0, 1, 2])
-    assert abs(loss.item() - math.log(4)) < 1e-12
+    assert abs(loss.item() - 3 * math.log(4)) < 1e-12
 
 
 def test_cross_entropy_confident():
@@ -511,21 +489,9 @@ def test_cross_entropy_matches_direct_nll():
     targets = rng.integers(0, 4, size=5)
     # independent oracle: plain exp/sum probabilities, no log-sum-exp trick
     probs = np.exp(raw) / np.exp(raw).sum(axis=1, keepdims=True)
-    expected = float(np.mean([-math.log(probs[i, targets[i]]) for i in range(5)]))
+    expected = sum(-math.log(probs[i, targets[i]]) for i in range(5))
     loss = cross_entropy(Tensor(raw), targets)
     assert abs(loss.item() - expected) < 1e-10
-
-
-def test_cross_entropy_mean_and_sum():
-    rng = make_rng(7)
-    raw = rng.normal(size=(4, 3))
-    targets = [0, 1, 2, 0]
-    probs = np.exp(raw) / np.exp(raw).sum(axis=1, keepdims=True)
-    per_pos = [-math.log(probs[i, targets[i]]) for i in range(4)]
-    mean_loss = cross_entropy(Tensor(raw), targets)
-    sum_loss = cross_entropy(Tensor(raw), targets, reduction="sum")
-    assert abs(mean_loss.item() - sum(per_pos) / 4) < 1e-12
-    assert abs(sum_loss.item() - sum(per_pos)) < 1e-12
 
 
 def test_cross_entropy_empty_rejected():
@@ -556,13 +522,13 @@ def test_backward_sum_gives_ones():
 def test_backward_composite_matches_fd():
     rng = make_rng(9)
     w = parameter(rng.normal(size=(3, 3)))
-    x = Tensor(rng.normal(size=(3, 2)))
+    x = Tensor(rng.normal(size=(2, 3)))
 
     def loss_fn():
-        y = w.matmul(x)
+        y = linear(w, x)
         return (y * y).sum().item()
 
-    y = w.matmul(x)
+    y = linear(w, x)
     backward((y * y).sum())
     assert_grads_match(loss_fn, [w])
 
@@ -605,13 +571,9 @@ def test_backward_consumes_graph():
 
 def test_backward_bit_deterministic():
     def run():
-        rng = make_rng(10)
-        w = parameter(rng.normal(size=(4, 4)))
-        x = Tensor(rng.normal(size=(4, 4)))
-        h = softmax(w.matmul(x).tanh())
-        loss = cross_entropy(h, [0, 1, 2, 3])
-        backward(loss)
-        return w.grad.tobytes()
+        params, loss = every_op_graph(0)
+        backward(loss())
+        return b"".join(p.grad.tobytes() for p in params)
 
     assert run() == run()
 
@@ -622,31 +584,30 @@ def every_op_graph(seed):
     table = parameter(rng.normal(size=(7, 6)))
     w = parameter(rng.normal(size=(6, 6)))
     b = parameter(rng.normal(size=6))
+    wq = parameter(rng.normal(size=(6, 6)))
     g = parameter(rng.normal(size=6))
     bias = parameter(rng.normal(size=6))
     padded = parameter(rng.normal(size=(3, 4, 6)))  # real rows gathered straight from it
-    packed = parameter(rng.normal(size=(5, 6)))  # scattered straight into padded rows
-    whole = parameter(rng.normal(size=(4, 6)))  # the same, with no padding
+    whole = parameter(rng.normal(size=(5, 1, 6)))  # the same, with no padding
     ids = rng.integers(0, 7, size=5)
-    targets = rng.integers(0, 6, size=5)
-    wq = parameter(rng.normal(size=(6, 6)))
+    targets = rng.integers(0, 3, size=10)
     rows = Rows(PADDED_VALID)
-    dense = Rows(np.ones((2, 2), dtype=bool))
+    dense = Rows(np.ones((5, 1), dtype=bool))
     key_bias = np.where(PADDED_VALID, 0.0, -1e9)
     key_bias[1, 2] = -1e9  # a real key masked too
 
     def loss():
         h = embedding_lookup(table, ids)
-        h = linear(h, w, b) + h.matmul(w.transpose())
-        h = layer_norm(h.tanh() + h.sigmoid() + h.relu(), g, bias)
-        h = gather_rows(scatter_rows(h, rows) * scatter_rows(packed, rows), rows)
+        gate = linear(h, wq).sigmoid()
+        h = gate * linear(h, w, b) + (1.0 - gate) * h  # the fusion gate's blend
+        h = layer_norm(h.tanh() + h.relu(), g, bias)
+        h = h * gather_rows(padded, rows)
         h, _ = attention(linear(h, wq), h, h + h, rows, 2, key_bias)
-        h = (h * gather_rows(padded, rows)).reshape(5, 6)[1:, :]
-        h = h * gather_rows(scatter_rows(whole, dense), dense)
-        p = softmax(h)
-        return cross_entropy(h, targets[1:]) + (p * p).sum() * 0.5
+        h = dropout(h + bias, 0.25, True, make_rng(seed), rows)
+        h = (h * gather_rows(whole, dense)).reshape((10, 3))
+        return cross_entropy(h, targets) + (h * h).sum() * 0.5
 
-    return [table, w, b, g, bias, padded, packed, whole, wq], loss
+    return [table, w, b, wq, g, bias, padded, whole], loss
 
 
 def test_every_op_composite_fd_multiseed():
@@ -680,7 +641,7 @@ def test_parameter_shared_by_matmuls_and_add_sums_grads():
     z = Tensor(rng.normal(size=(8, 3)))
 
     def loss():
-        h = x.matmul(w).tanh() + z.matmul(w.transpose())
+        h = linear(x, w).tanh() + linear(z, w)
         s = w + v
         return (h * h).sum() + (s * s).sum()
 
@@ -692,33 +653,20 @@ def test_parameter_shared_by_matmuls_and_add_sums_grads():
 def test_no_grad_blocks_recording():
     w = parameter(np.ones((2, 2)))
     with ad.no_grad():
-        y = w.matmul(w)
+        y = linear(w, w)
     assert y._parents == () and not y.requires_grad
 
 
-def test_getitem_grad():
-    x = parameter(np.arange(12.0).reshape(3, 4))
-
-    def loss_fn():
-        return (x[1:, :2] * x[1:, :2]).sum().item()
-
-    backward((x[1:, :2] * x[1:, :2]).sum())
-    assert_grads_match(loss_fn, [x])
-    # a repeated index adds each of its gradients
-    t = parameter(np.arange(3.0))
-    backward((t[np.array([0, 0, 2])] * Tensor([1.0, 10.0, 100.0])).sum())
-    assert t.grad.tolist() == [11.0, 0.0, 100.0]
-
-
 def test_transpose_reshape_grad():
+    # reshape of a transposed, strided parameter
     rng = make_rng(11)
-    x = parameter(rng.normal(size=(2, 3, 4)))
+    x = parameter(rng.normal(size=(2, 3, 4)).transpose(0, 2, 1))
 
     def loss_fn():
-        y = x.transpose(0, 2, 1).reshape(4, 6)
+        y = x.reshape((4, 6))
         return (y * y).sum().item()
 
-    y = x.transpose(0, 2, 1).reshape(4, 6)
+    y = x.reshape((4, 6))
     backward((y * y).sum())
     assert_grads_match(loss_fn, [x])
 

@@ -99,7 +99,8 @@ def test_train_divergence_exit_code(workdir, tmp_path):
 
 
 @pytest.mark.parametrize("flag,value", [("--epochs", "-1"), ("--batch-size", "0"),
-                                        ("--eval-every", "0"), ("--max-len", "1")])
+                                        ("--eval-every", "0"), ("--max-len", "1"),
+                                        ("--dev", "nonsense")])
 def test_train_config_out_of_range_exits_config(workdir, tmp_path, flag, value):
     proc = run_cli("train", "--corpus", f"ctb={workdir / 'ctb.txt'}",
                    "--vocab", str(workdir / "vocab.txt"),
@@ -298,6 +299,32 @@ def test_evaluate_batch_size_below_one_exits_config(trained, batch_size):
                    "--batch-size", batch_size, expect=2)
     assert "batch_size" in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# -- vocab files -----------------------------------------------------------------------
+
+VOCAB_CORRUPTIONS = {
+    "undecodable_byte": lambda text: text.replace("娜\t".encode(), b"\xff\t", 1),
+    "unigram_without_tab": lambda text: text.replace("\n娜\t".encode(), "\n娜 ".encode(), 1),
+    "unigram_id_99": lambda text: re.sub("\n娜\t[0-9]+\n".encode(), "\n娜\t99\n".encode(), text),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "segment"])
+@pytest.mark.parametrize("corruption", sorted(VOCAB_CORRUPTIONS))
+def test_corrupt_vocab_exits_data(trained, tmp_path, command, corruption):
+    d = trained
+    bad = tmp_path / "vocab.txt"
+    bad.write_bytes(VOCAB_CORRUPTIONS[corruption]((d / "vocab.txt").read_bytes()))
+    assert bad.read_bytes() != (d / "vocab.txt").read_bytes()
+    (tmp_path / "in.txt").write_text("李娜\n", encoding="utf-8")
+    args = {"train": ["--corpus", f"ctb={d / 'ctb.txt'}", "--out", str(tmp_path / "x.ckpt")],
+            "evaluate": ["--checkpoint", str(d / "model.ckpt"), "--gold", f"ctb={d / 'ctb.txt'}"],
+            "segment": ["--checkpoint", str(d / "model.ckpt"), "--criterion", "ctb",
+                        "--input", str(tmp_path / "in.txt")]}[command]
+    proc = run_cli(command, "--vocab", str(bad), *args, expect=3)
+    assert f"{bad}: line " in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == "" and not (tmp_path / "x.ckpt").exists()
 
 
 # -- checkpoint files ----------------------------------------------------------------

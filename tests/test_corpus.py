@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -269,6 +270,46 @@ def test_vocab_text_round_trip_any_words(sentences):
     back = Vocab.from_text(text)
     assert back == v
     assert back.to_text() == text
+
+
+# (text edit of the fixture's to_text, the refusal's message, the line it names)
+VOCAB_DEFECTS = {
+    "no_tab": (("\n李\t7\n", "\n李 7\n"), "not a new NAME<TAB>ID of [unigrams]", 14),
+    "id_not_int": (("\n李\t7\n", "\n李\t7x\n"), "not a new NAME<TAB>ID of [unigrams]", 14),
+    "repeated_name": (("\n娜\t8\n", "\n李\t8\n"), "not a new NAME<TAB>ID of [unigrams]", 15),
+    "id_out_of_range": (("\n李\t7\n", "\n李\t99\n"), "id 99 in [unigrams]", 14),
+    "repeated_id": (("\n娜\t8\n", "\n娜\t7\n"), "id 7 in [unigrams]", 15),
+    "criterion_gap": (("\npku\t1\n", "\npku\t2\n"), "id 2 in [criteria]", 5),
+    "criterion_without_token": (("\n<pku>\t6\n", "\n<pkx>\t6\n"),
+                                "criterion 'pku' needs a <pku> unigram", 5),
+    "criterion_without_lexicon": (("[lexicon:pku]", "[lexicon:pku"),
+                                  "criterion 'pku' needs a <pku> unigram and a [lexicon:pku]", 5),
+    "unknown_lexicon": (("[lexicon:pku]", "[lexicon:msr]"), "lexicon of unknown criterion 'msr'", 35),
+    "repeated_lexicon": (("[lexicon:pku]", "[lexicon:ctb]"), "unexpected section [lexicon:ctb]", 35),
+    "unknown_section": (("[bigrams]", "[bigramz]"), "unexpected section [bigramz]", 21),
+    "reserved_bigram": (("\n<unk>\t1\n<bos>李", "\n<unq>\t1\n<bos>李"),
+                        "[bigrams] needs the reserved token <unk> at id 1", None),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(VOCAB_DEFECTS))
+def test_vocab_load_refuses_defect_naming_path_and_line(tmp_path, vocab, defect):
+    (old, new), message, line = VOCAB_DEFECTS[defect]
+    text = vocab.to_text()
+    assert old in text
+    path = tmp_path / "vocab.txt"
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        Vocab.load(path)
+    assert str(info.value).startswith(f"{path}: " + (f"line {line}: " if line else ""))
+    assert message in str(info.value)
+
+
+def test_vocab_load_refuses_undecodable_bytes(tmp_path, vocab):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(vocab.to_text().encode("utf-8").replace("娜\t8".encode(), b"\xff\t8"))
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 15: invalid UTF-8"):
+        Vocab.load(path)
 
 
 def test_vocab_lexicon(vocab):

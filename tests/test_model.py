@@ -1,19 +1,24 @@
 import gc
+import inspect
+import random
+import sys
 import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from mccws import autodiff as ad
 from mccws import corpus as cp
 from mccws import model as model_mod
-from mccws.autodiff import Rows, Tensor, backward, make_rng, no_grad, softmax, zero_grads
-from mccws.checkpoint import load_checkpoint, save_checkpoint
+from mccws.autodiff import Rows, Tensor, backward, make_rng, no_grad, zero_grads
+from mccws.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from mccws.corpus import RawSentence, Vocab, prepare_sentence
 from mccws.errors import ConfigError, DataError
 from mccws.model import Model, ModelConfig, pack_batch, pack_inputs, param_shapes, text_windows
 
 from gradutil import assert_grads_match
+from reference import softmax
 
 
 @pytest.fixture
@@ -44,7 +49,7 @@ def encode_one(m, ids, **kw):
 
 def contextualize_one(m, fused):
     """Contextualizer over a batch of one unpadded sequence [T, d_h]."""
-    return m.contextualize_batch(fused, Rows(np.ones((1, fused.shape[0]), dtype=bool)))
+    return m.contextualize_batch(fused, Rows(np.ones((1, fused.data.shape[0]), dtype=bool)))
 
 
 # -- config ------------------------------------------------------------------
@@ -75,7 +80,7 @@ def test_encode_shape(vocab):
     ids, _, _ = sentence_inputs(vocab, ["李娜", "进入", "半决赛"], 0)
     assert ids.shape == (1, 8)
     H = encode_one(m, ids)
-    assert H.shape == (8, 16)
+    assert H.data.shape == (8, 16)
 
 
 def test_encode_criterion_token_changes_h(vocab):
@@ -84,7 +89,7 @@ def test_encode_criterion_token_changes_h(vocab):
     ids_pku, _, _ = sentence_inputs(vocab, ["李娜"], 1)
     h1 = encode_one(m, ids_ctb).data
     h2 = encode_one(m, ids_pku).data
-    assert h1.shape == h2.shape
+    assert h1.data.shape == h2.data.shape
     assert np.abs(h1 - h2).max() > 0
 
 
@@ -160,7 +165,7 @@ def test_fuse_without_bigram(vocab):
     assert "bigram_emb" not in m.params
     h = Tensor(make_rng(0).normal(size=(4, 16)))
     f, g = m.fuse_batch(h, None)
-    assert g is None and f.shape == (4, 16)
+    assert g is None and f.data.shape == (4, 16)
 
 
 # -- contextualizer ---------------------------------------------------------------
@@ -170,7 +175,7 @@ def test_contextualize_single_position(vocab):
     rng = make_rng(4)
     f = Tensor(rng.normal(size=(1, 16)))
     o = contextualize_one(m, f)
-    assert o.shape == (1, 16)
+    assert o.data.shape == (1, 16)
     # with one position, attention passes v straight through
     p = m.params
     v = f.data @ p["ctx.attn.wv"].data.T + p["ctx.attn.bv"].data
@@ -208,12 +213,12 @@ def test_decode_labels_distributions(vocab):
     rng = make_rng(6)
     o = Tensor(rng.normal(size=(7, 16)))
     logits = m.decode_labels(o)
-    assert logits.shape == (7, 4)
-    probs = softmax(logits).data
+    assert logits.data.shape == (7, 4)
+    probs = softmax(logits.data)
     assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
     m.params["dec.w_o"].data[:] = 0.0
     m.params["dec.b_o"].data[:] = 0.0
-    uniform = softmax(m.decode_labels(o)).data
+    uniform = softmax(m.decode_labels(o).data)
     assert np.allclose(uniform, 0.25, atol=1e-15)
 
 
@@ -231,13 +236,13 @@ def test_classify_criterion_uses_row0_only(vocab):
     h = rng.normal(size=(6, 16))
     first = Rows(np.arange(6) == 0)
     logits = m.classify_criterion(Tensor(h), first).data
-    assert logits.shape == (1, 2)
+    assert logits.data.shape == (1, 2)
     h2 = h.copy()
     h2[1:] = rng.normal(size=(5, 16))
     logits2 = m.classify_criterion(Tensor(h2), first).data
     assert np.array_equal(logits, logits2)
     m.params["cls.w_c"].data[:] = 0.0
-    uniform = softmax(m.classify_criterion(Tensor(h), first)).data
+    uniform = softmax(m.classify_criterion(Tensor(h), first).data)
     assert np.allclose(uniform, 0.5, atol=1e-15)
 
 
@@ -245,7 +250,7 @@ def test_classify_single_criterion():
     v = Vocab.build({"only": [RawSentence(["李娜"], 0)]})
     m = tiny_model(v)
     h = Tensor(make_rng(0).normal(size=(3, 16)))
-    probs = softmax(m.classify_criterion(h, Rows(np.arange(3) == 0))).data
+    probs = softmax(m.classify_criterion(h, Rows(np.arange(3) == 0)).data)
     assert np.allclose(probs, 1.0)
 
 
@@ -283,7 +288,7 @@ def test_loss_matches_manual_composition(vocab):
             manual += nll(out.label_logits.data[row], labels[i, t])
             row += 1
         manual += nll(out.criterion_logits.data[i], cids[i])
-    assert row == out.label_logits.shape[0]
+    assert row == out.label_logits.data.shape[0]
     assert abs(loss.item() - manual / 2) < 1e-12
 
 
@@ -396,11 +401,11 @@ def test_forward_shapes(vocab):
         ids, bi, lengths, _, _ = pack_batch(sents, vocab)
         B, N = len(batch), int(lengths.sum())
         out = m.forward_batch(ids, bi, lengths, collect_attn=True)
-        assert out.hidden.shape == (N + B, 16)
-        assert out.fused.shape == (N, 16)
-        assert out.contextual.shape == (N, 16)
-        assert out.label_logits.shape == (N, 4)
-        assert out.criterion_logits.shape == (B, 2)
+        assert out.hidden.data.shape == (N + B, 16)
+        assert out.fused.data.shape == (N, 16)
+        assert out.contextual.data.shape == (N, 16)
+        assert out.label_logits.data.shape == (N, 4)
+        assert out.criterion_logits.data.shape == (B, 2)
         assert out.gate_means.shape == (N,)
         L = int(lengths.max())
         assert out.attn["enc0"].shape == (B, 2, L + 1, L + 1)
@@ -565,6 +570,62 @@ def test_segment_deterministic_across_runs(vocab):
     assert a == b
 
 
+# -- autodiff coverage ------------------------------------------------------------------
+
+# Public autodiff names that a training step and predict need not reach, each
+# with the reason it stays. Any other public name that neither reaches is an
+# op the model does not run, and belongs in tests/ if anywhere.
+UNREACHED_AUTODIFF = {
+    "set_dtype": "the precision switch, set before a model is built",
+    "make_rng": "seeds initialization and the trainer's dropout generator, before a step",
+    "parameter": "makes the parameters when a model is built",
+    "Tensor.sum": "the loss reduction of every gradient check",
+    "Tensor.reshape": "gather_rows' path when every row is real",
+}
+
+
+def public_autodiff_code() -> dict:
+    """The code object of each public autodiff function, Tensor or Rows
+    method (operators included), by its qualified name."""
+    found = {name: obj for name, obj in vars(ad).items()
+             if inspect.isfunction(obj) and obj.__module__ == ad.__name__
+             and not name.startswith("_")}
+    for cls in (ad.Tensor, ad.Rows):
+        for name, obj in vars(cls).items():
+            if inspect.isfunction(obj) and not (name.startswith("_") and not name.endswith("__")):
+                found[f"{cls.__name__}.{name}"] = obj
+    # no_grad is wrapped by contextlib.contextmanager; its generator is what runs
+    return {name: inspect.unwrap(fn).__code__ for name, fn in found.items()}
+
+
+def test_model_reaches_every_public_autodiff_op(vocab):
+    # one training step as trainer.train runs it, with bigrams on and off,
+    # and one predict; sys.setprofile sees every Python call into autodiff
+    sents = [prepare_sentence(RawSentence(["李娜", "进入"], 0), vocab),
+             prepare_sentence(RawSentence(["半", "决赛"], 1), vocab)]
+    models = [tiny_model(vocab), tiny_model(vocab, use_bigram=False)]
+    batch, rng = pack_batch(sents, vocab), make_rng(0)
+    public = public_autodiff_code()
+    names = {code: name for name, code in public.items()}
+    reached = set()
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            reached.add(names[frame.f_code])
+
+    sys.setprofile(record)
+    try:
+        for m in models:
+            loss, _ = m.loss_batch(*batch, training=True, rng=rng)
+            loss.item()
+            backward(loss)
+            zero_grads(m.params.values())
+        models[0].predict(sents, vocab)
+    finally:
+        sys.setprofile(None)
+    assert set(public) - reached == set(UNREACHED_AUTODIFF)
+
+
 # -- params & checkpoint ---------------------------------------------------------------
 
 def test_param_shapes_cover_all_params(vocab):
@@ -616,3 +677,54 @@ def test_checkpoint_shape_mismatch(tmp_path, vocab):
     save_checkpoint(path, bad, vocab.sha256())
     with pytest.raises(DataError, match="shape"):
         load_checkpoint(path, vocab)
+
+
+# bytes that a file's structure is made of, so inserted and overwritten bytes
+# reach the parsers and not only the decoders
+STRUCTURE = b'\t\n[]:<>{}",0123456789-e'
+
+
+def mutations(blob: bytes, count: int, seed: int, head: int):
+    """count seeded corruptions of blob: truncation, overwritten, deleted or
+    inserted bytes. Every second one lands in blob[:head]."""
+    rng = random.Random(seed)
+    for k in range(count):
+        pos = rng.randrange(head if k % 2 else len(blob))
+        size = rng.randint(1, 4)
+        junk = bytes(rng.choice(STRUCTURE) if rng.random() < 0.5 else rng.randrange(256)
+                     for _ in range(size))
+        kind = rng.randrange(4)
+        if kind == 0:
+            yield blob[:pos]
+        elif kind == 1:
+            yield blob[:pos] + junk + blob[pos + size:]
+        elif kind == 2:
+            yield blob[:pos] + blob[pos + size:]
+        else:
+            yield blob[:pos] + junk + blob[pos:]
+
+
+def test_readers_refuse_mutated_files_with_data_or_config_errors(tmp_path, vocab):
+    # each outcome is a loaded object, a DataError or a ConfigError, never
+    # another exception; a vocab that loads has dense ids and reads back
+    vocab_path, ckpt_path, path = tmp_path / "vocab.txt", tmp_path / "m.ckpt", tmp_path / "bad"
+    vocab.save(vocab_path)
+    save_checkpoint(ckpt_path, tiny_model(vocab, d_h=8, d_e=4, d_ff=8), vocab.sha256())
+    header = len(MAGIC) + 8 + int.from_bytes(ckpt_path.read_bytes()[len(MAGIC):len(MAGIC) + 8],
+                                              "little")
+    refused = Counter()
+    for reader, source, head in [("vocab", vocab_path, None), ("checkpoint", ckpt_path, header)]:
+        blob = source.read_bytes()
+        for data in mutations(blob, 300, seed=0, head=head or len(blob)):
+            path.write_bytes(data)
+            try:
+                if reader == "vocab":
+                    v = Vocab.load(path)
+                    for table in (v.unigrams, v.bigrams, v.criteria):
+                        assert sorted(table.values()) == list(range(len(table)))
+                    assert Vocab.from_text(v.to_text()) == v
+                else:
+                    load_checkpoint(path, vocab)
+            except (DataError, ConfigError):
+                refused[reader] += 1
+    assert 0 < refused["vocab"] < 300 and 0 < refused["checkpoint"] < 300
