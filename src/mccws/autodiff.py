@@ -9,10 +9,12 @@ The walk consumes the graph, freeing each node once it has propagated.
 
 It holds the ops the model runs: the fused ``linear`` and ``attention``
 nodes, layer norm, dropout, embedding lookup, row gathering, summed
-cross-entropy, and pointwise, reshape and sum methods on Tensor.
+cross-entropy, and pointwise and sum methods on Tensor.
 
-Precision is a module-level switch: float64 by default (gradient checks
-need the headroom), float32 available for fast runs.
+Precision is that of the data: a Tensor keeps float32 data as float32 and
+makes anything else float64 (gradient checks need the headroom), and every
+op keeps its inputs' dtype. A float32 model is one whose parameters are
+float32.
 
 All randomness (dropout masks, initialization) must come from generators
 made by :func:`make_rng`, which is PCG64 under a fixed seed, so runs are
@@ -24,25 +26,7 @@ import math
 
 import numpy as np
 
-_DTYPE = np.float64
 _GRAD_ENABLED = True
-
-
-def set_dtype(name: str) -> None:
-    """Select the working precision: "float64" (default) or "float32"."""
-    global _DTYPE
-    if name not in ("float64", "float32"):
-        raise ValueError(f"unsupported dtype {name!r}")
-    _DTYPE = np.float64 if name == "float64" else np.float32
-
-
-def get_dtype():
-    return _DTYPE
-
-
-def default_ln_eps() -> float:
-    """Layer-norm epsilon matched to the working precision."""
-    return 1e-12 if _DTYPE == np.float64 else 1e-5
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -68,7 +52,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_DTYPE)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -87,10 +72,10 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            if owned and isinstance(g, np.ndarray) and g.dtype == _DTYPE:
+            if owned and isinstance(g, np.ndarray) and g.dtype == self.data.dtype:
                 self.grad = g
             else:
-                self.grad = np.array(g, dtype=_DTYPE, copy=True)
+                self.grad = np.array(g, dtype=self.data.dtype, copy=True)
         else:
             self.grad += g
 
@@ -145,14 +130,6 @@ class Tensor:
                 self._accum(out.grad * other.data, owned=True)
                 other._accum(out.grad * self.data, owned=True)
             out._backward = back
-        return out
-
-    # -- shape ops ------------------------------------------------------------
-
-    def reshape(self, shape: tuple) -> "Tensor":
-        out = _node(self.data.reshape(shape), (self,))
-        if out._parents:
-            out._backward = lambda: self._accum(out.grad.reshape(self.data.shape), owned=True)
         return out
 
     # -- reductions -----------------------------------------------------------
@@ -228,11 +205,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float | None = None) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply an
-    elementwise affine gain and bias."""
-    if eps is None:
-        eps = default_ln_eps()
+    elementwise affine gain and bias. The variance's epsilon suits x's
+    precision: 1e-12 in float64, 1e-5 in float32."""
+    eps = 1e-5 if x.data.dtype == np.float32 else 1e-12
     # the centred values serve the variance (as ndarray.var computes it) and xhat
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + eps)
@@ -289,8 +266,6 @@ def gather_rows(x: Tensor, rows: Rows) -> Tensor:
     """Pack a padded x [*rows.shape, *features] into its real rows
     [rows.count, *features]. Each row is taken once, so backward writes the
     gradient back in place, with zeros at padding."""
-    if rows.index is None:
-        return x.reshape((rows.count,) + x.data.shape[len(rows.shape):])
     out = _node(rows.pack(x.data), (x,))
     if out._parents:
         out._backward = lambda: x._accum(rows.unpack(out.grad), owned=True)
@@ -372,7 +347,7 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
     kept = rows.pack(rng.random(rows.shape + x.data.shape[1:]) >= p)
-    keep = kept.astype(get_dtype()) / (1.0 - p)
+    keep = kept.astype(x.data.dtype) / (1.0 - p)
     out = _node(x.data * keep, (x,))
     if out._parents:
         out._backward = lambda: x._accum(out.grad * keep, owned=True)
@@ -412,7 +387,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     nll = lse - shifted[np.arange(n), targets]
-    out = _node(np.asarray(float(nll.sum())), (logits,))
+    out = _node(nll.sum(), (logits,))
     if out._parents:
         def back():
             p = np.exp(shifted)
@@ -429,8 +404,9 @@ def backward(loss: Tensor) -> None:
     This consumes the graph. Once a node has passed its gradient on to its
     inputs it drops its gradient, its backward closure and its links to the
     inputs, so reference counting frees the graph while the walk goes on.
-    A node whose gradient passes through unchanged (add, reshape)
-    hands its gradient buffer to one input instead of a copy.
+    A node whose gradient passes through unchanged (add, or gather_rows
+    when every row is real) hands its gradient buffer to one input instead
+    of a copy.
     Leaves (parameters) keep their accumulated ``.grad``. A graph that
     reaches a node an earlier call consumed raises ValueError.
     """

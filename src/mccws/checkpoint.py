@@ -2,9 +2,10 @@
 
 Layout: magic line, 8-byte little-endian header length, a JSON header
 (model config, vocab hash, per-array name/shape/dtype manifest), then the
-raw little-endian array bytes in manifest order. Writing the same state
-twice produces byte-identical files, which the determinism guarantees
-depend on.
+raw little-endian array bytes in manifest order. Each array is stored and
+read back in its own dtype, float64 or float32; a model's parameters share
+one. Writing the same state twice produces byte-identical files, which the
+determinism guarantees depend on.
 """
 
 import json
@@ -13,7 +14,7 @@ import os
 
 import numpy as np
 
-from .autodiff import Tensor, get_dtype
+from .autodiff import Tensor
 from .corpus import atomic_open
 from .errors import ConfigError, DataError
 from .model import Model, ModelConfig, param_shapes
@@ -27,8 +28,8 @@ _DTYPE_TAGS = {np.dtype(np.float64): "<f8", np.dtype(np.float32): "<f4"}
 def save_checkpoint(path, model: Model, vocab_sha256: str, extra: dict | None = None) -> None:
     manifest = []
     buffers = []
-    tag = _DTYPE_TAGS[np.dtype(get_dtype())]
     for name, p in model.params.items():
+        tag = _DTYPE_TAGS[p.data.dtype]
         manifest.append({"name": name, "shape": list(p.data.shape), "dtype": tag})
         buffers.append(np.ascontiguousarray(p.data, dtype=tag).tobytes())
     header = {
@@ -100,7 +101,9 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
                 if nbytes > size - fh.tell():
                     raise DataError(f"{path}: truncated array {item['name']}")
                 buf = fh.read(nbytes)
-                arrays[item["name"]] = np.frombuffer(buf, dtype=dt).reshape(shape).astype(get_dtype())
+                # a writable copy (AdamW updates parameters in place), native byte order
+                arrays[item["name"]] = np.frombuffer(buf, dtype=dt).reshape(shape).astype(
+                    dt.newbyteorder("="))
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     return header, arrays
@@ -109,8 +112,9 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
 def load_checkpoint(path, vocab) -> tuple[Model, dict[str, np.ndarray], dict]:
     """Load and verify a checkpoint against a vocabulary.
 
-    Refuses vocab hash mismatches and any missing/extra/mis-shaped
-    parameter. Returns (model, optimizer arrays, extra header dict). Only
+    Refuses vocab hash mismatches, any missing/extra/mis-shaped parameter
+    and parameters of mixed dtypes. Parameters keep their stored dtype.
+    Returns (model, optimizer arrays, extra header dict). Only
     older files carry optimizer arrays (AdamW state listed under
     optimizer_arrays); they are returned as read, never as parameters.
     """
@@ -131,6 +135,9 @@ def load_checkpoint(path, vocab) -> tuple[Model, dict[str, np.ndarray], dict]:
         if param_arrays[name].shape != shape:
             raise DataError(
                 f"checkpoint parameter {name} has shape {param_arrays[name].shape}, expected {shape}")
+    dtypes = sorted({a.dtype.name for a in param_arrays.values()})
+    if len(dtypes) > 1:
+        raise DataError(f"checkpoint parameters mix dtypes {dtypes}")
     params = {name: Tensor(param_arrays[name], requires_grad=True) for name in expected}
     model = Model(config, len(vocab.unigrams), len(vocab.bigrams), params=params)
     opt_arrays = {name: arrays[name] for name in opt_names}

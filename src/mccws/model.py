@@ -19,8 +19,8 @@ import numpy as np
 
 from . import corpus as cp
 from .autodiff import (
-    Rows, Tensor, attention, cross_entropy, dropout, embedding_lookup, gather_rows, get_dtype,
-    layer_norm, linear, no_grad, parameter,
+    Rows, Tensor, attention, cross_entropy, dropout, embedding_lookup, gather_rows, layer_norm,
+    linear, no_grad, parameter,
 )
 from .errors import ConfigError, DataError
 
@@ -199,7 +199,7 @@ class Model:
         probabilities [B, heads, L, L])."""
         p = self.params
         q, k, v = (linear(x, p[f"{prefix}.w{n}"], p[f"{prefix}.b{n}"]) for n in "qkv")
-        key_bias = np.where(rows.valid, 0.0, NEG_INF).astype(get_dtype())
+        key_bias = np.where(rows.valid, 0.0, NEG_INF).astype(x.data.dtype)
         ctx, attn = attention(q, k, v, rows, self.config.heads, key_bias)
         return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"]), attn
 

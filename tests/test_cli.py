@@ -1,5 +1,6 @@
 import builtins
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from mccws import cli
-from mccws.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from mccws.checkpoint import MAGIC, load_checkpoint, read_checkpoint, save_checkpoint
 from mccws.corpus import RawSentence, Vocab
 from mccws.errors import DataError
 
@@ -343,6 +344,19 @@ def set_byte(blob: bytes, offset: int, value: int) -> bytes:
     return blob[:offset] + bytes([value]) + blob[offset + 1:]
 
 
+def first_array_float32(blob: bytes) -> bytes:
+    """Checkpoint bytes whose first array is stored as float32 and the rest
+    as float64: a well-formed file that mixes parameter dtypes."""
+    start = len(MAGIC) + 8
+    body = start + int.from_bytes(blob[len(MAGIC):start], "little")
+    first = json.loads(blob[start:body])["arrays"][0]
+    assert first["dtype"] == "<f8"
+    end = body + 8 * math.prod(first["shape"])
+    as_f4 = np.frombuffer(blob[body:end], dtype="<f8").astype("<f4").tobytes()
+    return (edit_header(blob[:body], lambda h: h["arrays"][0].update(dtype="<f4"))
+            + as_f4 + blob[end:])
+
+
 HEADER = len(MAGIC) + 8
 CORRUPTIONS = {
     "header_byte": lambda b: set_byte(b, HEADER, ord("!")),
@@ -355,6 +369,7 @@ CORRUPTIONS = {
     "missing_arrays": lambda b: edit_header(b, lambda h: h.pop("arrays")),
     "bad_shape": lambda b: edit_header(b, lambda h: h["arrays"][0].update(shape=[-1])),
     "truncated": lambda b: b[:-8],
+    "mixed_dtypes": first_array_float32,
 }
 
 
@@ -410,6 +425,36 @@ def test_legacy_checkpoint_loads(trained, tmp_path):
     with pytest.raises(DataError, match="label_count"):
         load_checkpoint(tmp_path / "legacy5.ckpt", vocab)
 
+
+
+def test_float32_checkpoint_round_trips_and_runs(trained, tmp_path):
+    # a model whose parameters are float32 saves as <f4, loads back bit-equal
+    # in float32, re-saves byte-identically, and segment and evaluate run on it
+    d = trained
+    vocab = Vocab.load(d / "vocab.txt")
+    model, _, _ = load_checkpoint(d / "model.ckpt", vocab)
+    for p in model.params.values():
+        p.data = p.data.astype(np.float32)
+    path, again = tmp_path / "f32.ckpt", tmp_path / "again.ckpt"
+    save_checkpoint(path, model, vocab.sha256())
+    header, _ = read_checkpoint(path)
+    assert {item["dtype"] for item in header["arrays"]} == {"<f4"}
+    loaded, _, _ = load_checkpoint(path, vocab)
+    for name, p in model.params.items():
+        assert loaded.params[name].data.dtype == np.float32
+        assert np.array_equal(loaded.params[name].data, p.data), name
+    save_checkpoint(again, loaded, vocab.sha256())
+    assert again.read_bytes() == path.read_bytes()
+
+    (tmp_path / "in.txt").write_text("李娜进入半决赛\n", encoding="utf-8")
+    for criterion, expected in (("ctb", "李娜 进入 半决赛\n"), ("pku", "李 娜 进入 半 决赛\n")):
+        proc = run_cli("segment", "--checkpoint", str(path), "--vocab", str(d / "vocab.txt"),
+                       "--criterion", criterion, "--input", str(tmp_path / "in.txt"))
+        assert proc.stdout == expected
+    tables = [run_cli("evaluate", "--checkpoint", str(ckpt), "--vocab", str(d / "vocab.txt"),
+                      "--gold", f"ctb={d / 'ctb.txt'}", "--gold", f"pku={d / 'pku.txt'}").stdout
+              for ckpt in (d / "model.ckpt", path)]
+    assert tables[0] == tables[1]
 
 
 class FailMidway:

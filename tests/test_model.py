@@ -16,6 +16,7 @@ from mccws.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from mccws.corpus import RawSentence, Vocab, prepare_sentence
 from mccws.errors import ConfigError, DataError
 from mccws.model import Model, ModelConfig, pack_batch, pack_inputs, param_shapes, text_windows
+from mccws.trainer import prepare_for_eval, prepare_for_training
 
 from gradutil import assert_grads_match
 from reference import softmax
@@ -576,11 +577,9 @@ def test_segment_deterministic_across_runs(vocab):
 # with the reason it stays. Any other public name that neither reaches is an
 # op the model does not run, and belongs in tests/ if anywhere.
 UNREACHED_AUTODIFF = {
-    "set_dtype": "the precision switch, set before a model is built",
     "make_rng": "seeds initialization and the trainer's dropout generator, before a step",
     "parameter": "makes the parameters when a model is built",
     "Tensor.sum": "the loss reduction of every gradient check",
-    "Tensor.reshape": "gather_rows' path when every row is real",
 }
 
 
@@ -636,6 +635,25 @@ def test_param_shapes_cover_all_params(vocab):
         assert p.data.shape == shapes[name]
     assert m.params["dec.w_o"].data.shape == (4, 16)
     assert m.params["cls.w_c"].data.shape == (2, 16)
+
+
+def test_float32_parameters_keep_the_step_float32(vocab):
+    # precision is the parameters' dtype: a training step and predict over a
+    # model with float32 parameters make float32 values and gradients only
+    m = tiny_model(vocab)
+    for p in m.params.values():
+        p.data = p.data.astype(np.float32)
+    sents = [prepare_sentence(RawSentence(["李娜", "进入"], 0), vocab),
+             prepare_sentence(RawSentence(["半", "决赛"], 1), vocab)]
+    loss, out = m.loss_batch(*pack_batch(sents, vocab), training=True, rng=make_rng(0))
+    for t in (loss, out.hidden, out.fused, out.contextual, out.label_logits, out.criterion_logits):
+        assert t.data.dtype == np.float32
+    assert all(a.dtype == np.float32 for a in out.attn.values())
+    backward(loss)
+    assert {p.grad.dtype for p in m.params.values()} == {np.dtype(np.float32)}
+    with no_grad():
+        logits = m.forward_batch(*pack_inputs(sents, vocab)).label_logits
+    assert logits.data.dtype == np.float32
 
 
 def test_init_deterministic(vocab):
@@ -706,14 +724,19 @@ def mutations(blob: bytes, count: int, seed: int, head: int):
 
 def test_readers_refuse_mutated_files_with_data_or_config_errors(tmp_path, vocab):
     # each outcome is a loaded object, a DataError or a ConfigError, never
-    # another exception; a vocab that loads has dense ids and reads back
+    # another exception; a vocab that loads has dense ids and reads back, and
+    # a corpus that loads is prepared for training and evaluation at max_len
+    # 8, so one more token on a 7-token line is an over-long line
     vocab_path, ckpt_path, path = tmp_path / "vocab.txt", tmp_path / "m.ckpt", tmp_path / "bad"
+    corpus_path = tmp_path / "corpus.txt"
     vocab.save(vocab_path)
+    corpus_path.write_text("李娜 进入 半决赛\n李 娜 进入 半 决赛\n", encoding="utf-8")
     save_checkpoint(ckpt_path, tiny_model(vocab, d_h=8, d_e=4, d_ff=8), vocab.sha256())
     header = len(MAGIC) + 8 + int.from_bytes(ckpt_path.read_bytes()[len(MAGIC):len(MAGIC) + 8],
                                               "little")
     refused = Counter()
-    for reader, source, head in [("vocab", vocab_path, None), ("checkpoint", ckpt_path, header)]:
+    for reader, source, head in [("vocab", vocab_path, None), ("checkpoint", ckpt_path, header),
+                                 ("corpus", corpus_path, None)]:
         blob = source.read_bytes()
         for data in mutations(blob, 300, seed=0, head=head or len(blob)):
             path.write_bytes(data)
@@ -723,8 +746,12 @@ def test_readers_refuse_mutated_files_with_data_or_config_errors(tmp_path, vocab
                     for table in (v.unigrams, v.bigrams, v.criteria):
                         assert sorted(table.values()) == list(range(len(table)))
                     assert Vocab.from_text(v.to_text()) == v
-                else:
+                elif reader == "checkpoint":
                     load_checkpoint(path, vocab)
+                else:
+                    raws = cp.load_corpus(path)
+                    assert all(len(s) <= 7 for s in prepare_for_training(raws, vocab, 8))
+                    prepare_for_eval(raws, vocab, 8)
             except (DataError, ConfigError):
                 refused[reader] += 1
-    assert 0 < refused["vocab"] < 300 and 0 < refused["checkpoint"] < 300
+    assert all(0 < refused[reader] < 300 for reader in ("vocab", "checkpoint", "corpus"))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mccws.autodiff import backward, make_rng, zero_grads
+from mccws.checkpoint import save_checkpoint
 from mccws.corpus import RawSentence, Vocab
 from mccws.errors import DataError, DivergenceError
 from mccws.model import Model, ModelConfig, pack_batch
@@ -120,6 +121,25 @@ def test_training_is_bit_deterministic(small_setup):
     params_b, metrics_b = run()
     assert params_a == params_b
     assert metrics_a == metrics_b
+
+
+def test_float32_training_is_bit_deterministic(small_setup, tmp_path):
+    # a model whose parameters are float32 trains in float32, and two
+    # identical runs write identical checkpoint bytes
+    vocab, train_sents, dev_sents = small_setup
+
+    def run(tag):
+        model = small_model(vocab, seed=3)
+        for p in model.params.values():
+            p.data = p.data.astype(np.float32)
+        cfg = tr.TrainConfig(epochs=2, batch_size=16, seed=7, lr=1e-3)
+        tr.train(model, vocab, train_sents, dev_sents, cfg)
+        assert {p.data.dtype for p in model.params.values()} == {np.dtype(np.float32)}
+        path = tmp_path / f"{tag}.ckpt"
+        save_checkpoint(path, model, vocab.sha256())
+        return path.read_bytes()
+
+    assert run("a") == run("b")
 
 
 def test_divergence_guard(small_setup):
