@@ -77,7 +77,8 @@ def _check_header(path, header) -> None:
 def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Raw read: (header, arrays by name). No vocabulary verification.
 
-    A file that is not a well-formed checkpoint raises DataError.
+    A file that is not a well-formed checkpoint raises DataError, and so
+    does one whose arrays do not end exactly where the file ends.
     """
     try:
         with open(path, "rb") as fh:
@@ -104,6 +105,8 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
                 # a writable copy (AdamW updates parameters in place), native byte order
                 arrays[item["name"]] = np.frombuffer(buf, dtype=dt).reshape(shape).astype(
                     dt.newbyteorder("="))
+            if fh.tell() != size:
+                raise DataError(f"{path}: {size - fh.tell()} bytes after the last array")
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     return header, arrays

@@ -29,9 +29,11 @@ NEG_INF = -1e9
 # has at most this many cells. The attention node streams that array several
 # times, so a batch whose array outgrows a core's L2 cache
 # (2 MiB, i.e. 2^18 float64 cells, on the 2-vCPU Xeon it was sized on) waits
-# on memory. On the benchmark's 4-120-token eval lines (4 heads, batch 64),
-# predict ran 515, 563, 577, 525 and 474 sent/s at 2^16 to 2^20 cells, and
-# 371 sent/s uncapped (medians of 8, one BLAS thread).
+# on memory. On the benchmark's 4-120-token eval lines (4 heads, batch 64,
+# one BLAS thread, heap held by autodiff's heap policy), predict ran 861, 896,
+# 872, 844 and 775 sent/s at 2^16 to 2^20 cells (medians of 40 in-process
+# rounds). 2^17 beat 2^18 in 23 of 30 paired rounds, twice, by 2-3%, inside
+# 2^18's own quartile spread, so the cap stays at 2^18.
 SCORE_CELLS = 1 << 18
 
 
@@ -87,24 +89,13 @@ class ModelConfig:
 class ForwardOutput:
     """Per-batch forward results; tensors keep their tape links.
 
-    Rows are packed, sentence by sentence, over real positions only: N1 =
-    sum(lengths + 1) rows with each sentence's criterion token first, and
-    N = sum(lengths) character rows. Attention probabilities are plain
+    Rows are packed, sentence by sentence, over real positions only: N =
+    sum(lengths) character rows. Attention probabilities are plain
     arrays, as the attention node returns them, in the padded
     [B, heads, L', L'] layout (L' = L+1 in the encoder, L in the
     contextualizer).
-
-    Nothing in the package reads hidden, fused or contextual, but they stay:
-    in training they keep three activations alive until the next step's
-    forward, which keeps glibc from trimming the freed heap after every step.
-    Without them a warm 4000-sentence epoch took ~210k minor page faults
-    instead of 11k-20k and ran ~8% slower (perfbench train fixture, seed
-    4242, one pinned CPU).
     """
 
-    hidden: Tensor          # [N1, d_h]
-    fused: Tensor           # [N, d_h]
-    contextual: Tensor      # [N, d_h]
     label_logits: Tensor    # [N, len(LABELS)]
     criterion_logits: Tensor  # [B, num_criteria]
     gate_means: np.ndarray  # [N], mean gate activation per character
@@ -302,8 +293,7 @@ class Model:
         label_logits = self.decode_labels(O)
         criterion_logits = self.classify_criterion(H, Rows(first))
         gate_means = gate.data.mean(axis=-1) if gate is not None else np.zeros(chars.count)
-        return ForwardOutput(hidden=H, fused=fused, contextual=O,
-                             label_logits=label_logits, criterion_logits=criterion_logits,
+        return ForwardOutput(label_logits=label_logits, criterion_logits=criterion_logits,
                              gate_means=gate_means, attn=attn_out or {})
 
     # -- loss --------------------------------------------------------------------------------

@@ -357,6 +357,16 @@ def first_array_float32(blob: bytes) -> bytes:
             + as_f4 + blob[end:])
 
 
+def retagged_float32(blob: bytes) -> bytes:
+    """Checkpoint bytes whose float64 arrays are all tagged float32 in the
+    header only: each array reads back as float32 garbage of half its bytes,
+    and half the payload is left unread."""
+    def edit(header):
+        for item in header["arrays"]:
+            item["dtype"] = "<f4"
+    return edit_header(blob, edit)
+
+
 HEADER = len(MAGIC) + 8
 CORRUPTIONS = {
     "header_byte": lambda b: set_byte(b, HEADER, ord("!")),
@@ -370,6 +380,8 @@ CORRUPTIONS = {
     "bad_shape": lambda b: edit_header(b, lambda h: h["arrays"][0].update(shape=[-1])),
     "truncated": lambda b: b[:-8],
     "mixed_dtypes": first_array_float32,
+    "trailing_bytes": lambda b: b + bytes(range(40)),
+    "retagged_float32": retagged_float32,
 }
 
 

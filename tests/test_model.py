@@ -16,8 +16,10 @@ from mccws.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from mccws.corpus import RawSentence, Vocab, prepare_sentence
 from mccws.errors import ConfigError, DataError
 from mccws.model import Model, ModelConfig, pack_batch, pack_inputs, param_shapes, text_windows
+from mccws.optim import AdamW
 from mccws.trainer import prepare_for_eval, prepare_for_training
 
+from faultutil import minor_faults, needs_mallopt
 from gradutil import assert_grads_match
 from reference import softmax
 
@@ -51,6 +53,20 @@ def encode_one(m, ids, **kw):
 def contextualize_one(m, fused):
     """Contextualizer over a batch of one unpadded sequence [T, d_h]."""
     return m.contextualize_batch(fused, Rows(np.ones((1, fused.data.shape[0]), dtype=bool)))
+
+
+def forward_stages(m, ids, bi, lengths):
+    """forward_batch's three inner activations, stage by stage: the encoder's
+    H [N1, d_h], the fusion gate's output [N, d_h] and the contextualizer's
+    [N, d_h]."""
+    positions = np.arange(ids.shape[1])
+    tokens = Rows(positions[None, :] < (lengths + 1)[:, None])
+    chars = Rows(tokens.valid[:, 1:])
+    H = m.encode_batch(ids, tokens)
+    char_rows = Rows(tokens.pack(np.broadcast_to(positions > 0, tokens.shape)))
+    e = ad.embedding_lookup(m.params["bigram_emb"], chars.pack(bi))
+    fused, _ = m.fuse_batch(ad.gather_rows(H, char_rows), e)
+    return H, fused, m.contextualize_batch(fused, chars)
 
 
 # -- config ------------------------------------------------------------------
@@ -337,7 +353,7 @@ def test_backward_frees_graph_without_collector(vocab):
         del t, stack
         backward(loss)
         assert all(r().grad is None for r in interior if r() is not None)
-        graph = [weakref.ref(loss), weakref.ref(out.hidden)]
+        graph = [weakref.ref(loss), weakref.ref(out.label_logits)]
         del loss, out
         assert all(r() is None for r in graph)
         assert all(r() is None for r in interior)
@@ -401,10 +417,12 @@ def test_forward_shapes(vocab):
         sents = [prepare_sentence(RawSentence(words, 0), vocab) for words in batch]
         ids, bi, lengths, _, _ = pack_batch(sents, vocab)
         B, N = len(batch), int(lengths.sum())
+        H, fused, contextual = forward_stages(m, ids, bi, lengths)
+        assert H.data.shape == (N + B, 16)
+        assert fused.data.shape == (N, 16)
+        assert contextual.data.shape == (N, 16)
         out = m.forward_batch(ids, bi, lengths, collect_attn=True)
-        assert out.hidden.data.shape == (N + B, 16)
-        assert out.fused.data.shape == (N, 16)
-        assert out.contextual.data.shape == (N, 16)
+        assert np.array_equal(m.decode_labels(contextual).data, out.label_logits.data)
         assert out.label_logits.data.shape == (N, 4)
         assert out.criterion_logits.data.shape == (B, 2)
         assert out.gate_means.shape == (N,)
@@ -625,6 +643,48 @@ def test_model_reaches_every_public_autodiff_op(vocab):
     assert set(public) - reached == set(UNREACHED_AUTODIFF)
 
 
+# -- heap policy -------------------------------------------------------------------------
+
+def default_model_and_sentences(vocab):
+    """An untrained model of default size at max_len 128, and 64 sentences
+    whose lengths spread evenly over 4-120 characters, over both criteria."""
+    m = Model.for_vocab(ModelConfig(num_criteria=vocab.num_criteria, max_len=128), vocab, seed=0)
+    rng = random.Random(0)
+    sents = [prepare_sentence(RawSentence(rng.choices("李娜进入半决赛", k=int(T)), i % 2), vocab)
+             for i, T in enumerate(np.linspace(4, 120, 64))]
+    return m, sents
+
+
+@needs_mallopt
+def test_warm_predict_takes_few_page_faults(vocab):
+    # a batch's freed arrays stay in the heap for the next batch; without
+    # the heap policy this predict took ~11k minor faults
+    m, sents = default_model_and_sentences(vocab)
+    for _ in range(2):
+        m.predict(sents, vocab)
+    assert minor_faults(lambda: m.predict(sents, vocab)) < 500
+
+
+@needs_mallopt
+def test_warm_training_steps_take_few_page_faults(vocab):
+    # nothing of a step outlives it, yet the next step reuses its heap;
+    # without the heap policy these five steps took ~170k minor faults
+    m, sents = default_model_and_sentences(vocab)
+    batch = pack_batch(sents, vocab)
+    optimizer = AdamW(m.params)
+    rng = make_rng(0)
+
+    def steps(n):
+        for _ in range(n):
+            loss = m.loss_batch(*batch, training=True, rng=rng)[0]
+            backward(loss)
+            optimizer.step()
+            zero_grads(m.params.values())
+
+    steps(2)
+    assert minor_faults(lambda: steps(5)) < 500
+
+
 # -- params & checkpoint ---------------------------------------------------------------
 
 def test_param_shapes_cover_all_params(vocab):
@@ -645,8 +705,11 @@ def test_float32_parameters_keep_the_step_float32(vocab):
         p.data = p.data.astype(np.float32)
     sents = [prepare_sentence(RawSentence(["李娜", "进入"], 0), vocab),
              prepare_sentence(RawSentence(["半", "决赛"], 1), vocab)]
-    loss, out = m.loss_batch(*pack_batch(sents, vocab), training=True, rng=make_rng(0))
-    for t in (loss, out.hidden, out.fused, out.contextual, out.label_logits, out.criterion_logits):
+    ids, bi, lengths, labels, cids = pack_batch(sents, vocab)
+    for t in forward_stages(m, ids, bi, lengths):
+        assert t.data.dtype == np.float32
+    loss, out = m.loss_batch(ids, bi, lengths, labels, cids, training=True, rng=make_rng(0))
+    for t in (loss, out.label_logits, out.criterion_logits):
         assert t.data.dtype == np.float32
     assert all(a.dtype == np.float32 for a in out.attn.values())
     backward(loss)
