@@ -152,7 +152,10 @@ def cmd_segment(checkpoint_path, vocab_path, criterion, input_path, output_path)
     model, _, _ = ckpt.load_checkpoint(checkpoint_path, vocab)
     vocab.criterion_id(criterion)  # an unknown criterion exits 2 even on empty input
     with contextlib.ExitStack() as stack:
-        src = stack.enter_context(open(input_path, encoding="utf-8")) if input_path else sys.stdin
+        try:
+            src = stack.enter_context(open(input_path, encoding="utf-8")) if input_path else sys.stdin
+        except OSError as exc:
+            raise DataError(f"cannot read input {input_path}: {exc}") from exc
         dst = (stack.enter_context(cp.open_output(output_path, "w", encoding="utf-8"))
                if output_path else sys.stdout)
         # an undecodable byte reads as a lone surrogate (one <unk> token) and
@@ -178,8 +181,7 @@ def cmd_segment(checkpoint_path, vocab_path, criterion, input_path, output_path)
               help="Gold segmented file for one criterion; repeatable.")
 @click.option("--report", "report_path", type=click.Path(),
               help="Also write JSONL records here.")
-@click.option("--batch-size", default=64, show_default=True)
-def cmd_evaluate(checkpoint_path, vocab_path, gold_corpora, report_path, batch_size):
+def cmd_evaluate(checkpoint_path, vocab_path, gold_corpora, report_path):
     """Score the model against gold files; prints per-criterion rows plus an
     arithmetic-mean row when several criteria are given."""
     vocab = cp.Vocab.load(vocab_path)
@@ -188,10 +190,10 @@ def cmd_evaluate(checkpoint_path, vocab_path, gold_corpora, report_path, batch_s
     for name, raws in corpora.items():
         if not raws:
             raise DataError(f"gold file for criterion {name!r} has no sentences")
-    reports = []
-    for name, raws in corpora.items():
-        sentences = tr.prepare_for_eval(raws, vocab, model.config.max_len)
-        reports.append(tr.evaluate_model(model, vocab, sentences, batch_size)[name][0])
+    sentences = [sent for raws in corpora.values()
+                 for sent in tr.prepare_for_eval(raws, vocab, model.config.max_len)]
+    results = tr.evaluate_model(model, vocab, sentences)
+    reports = [results[name][0] for name in corpora]
     click.echo(mt.report_table(reports), nl=False)
     if report_path:
         with cp.atomic_open(report_path, "w", encoding="utf-8") as fh:

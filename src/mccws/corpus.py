@@ -110,19 +110,18 @@ def encode_bmes(spans: list[tuple[int, int]], length: int) -> list[int]:
     return labels
 
 
-def decode_bmes(labels) -> list[tuple[int, int]]:
-    """Decode a BMES sequence into word spans, repairing invalid label
-    sequences deterministically.
+def decode_bmes(labels: list[int]) -> list[tuple[int, int]]:
+    """Decode a sequence of BMES label ids into word spans, repairing invalid
+    label sequences deterministically.
 
     Left-to-right scan: B closes any open word and opens a new one; M/E
     extend the open word (E also closes it), or open one if none is open;
     S closes any open word as-is, then emits a singleton; the end of the
     sequence closes any open word. Total: every input yields a partition.
     """
-    ids = [LABELS.index(l) if isinstance(l, str) else l for l in labels]
     spans = []
     open_start = None
-    for t, y in enumerate(ids):
+    for t, y in enumerate(labels):
         if y == B:
             if open_start is not None:
                 spans.append((open_start, t))
@@ -143,7 +142,7 @@ def decode_bmes(labels) -> list[tuple[int, int]]:
         else:
             raise DataError(f"label id {y} outside BMES alphabet")
     if open_start is not None:
-        spans.append((open_start, len(ids)))
+        spans.append((open_start, len(labels)))
     return spans
 
 

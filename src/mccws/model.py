@@ -35,6 +35,12 @@ NEG_INF = -1e9
 # rounds). 2^17 beat 2^18 in 23 of 30 paired rounds, twice, by 2-3%, inside
 # 2^18's own quartile spread, so the cap stays at 2^18.
 SCORE_CELLS = 1 << 18
+# predict also stops a batch at this many sentences. With SCORE_CELLS as the
+# only limit, short sentences batch by the hundred and run slower: perfbench's
+# 400 dev sentences (5-20 tokens, seed 4242, one pinned CPU, one BLAS thread)
+# went 5512 -> 4574 sent/s uncapped (won 0 of 20 rounds) and its 4-120-token
+# eval lines 852 -> 840, with identical labels.
+BATCH_SENTENCES = 64
 
 
 @dataclass
@@ -313,10 +319,10 @@ class Model:
 
     # -- inference ------------------------------------------------------------------------------
 
-    def predict(self, sentences: list[cp.Sentence], vocab: cp.Vocab,
-                batch_size: int = 64) -> tuple[list[np.ndarray], np.ndarray]:
-        """Eval-mode forward over batches of at most batch_size sentences
-        (their gold spans are not read).
+    def predict(self, sentences: list[cp.Sentence],
+                vocab: cp.Vocab) -> tuple[list[np.ndarray], np.ndarray]:
+        """Eval-mode forward over batches of at most BATCH_SENTENCES
+        sentences (their gold spans are not read).
 
         Sentences are batched in order of length (a stable sort), so a batch
         pads to little more than its longest sentence; a batch also stops
@@ -326,8 +332,6 @@ class Model:
         sentence, trimmed to its length (no CRF), and the criterion
         classifier's argmax per sentence [N].
         """
-        if batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
         sizes = [len(s) for s in sentences]
         order = sorted(range(len(sentences)), key=sizes.__getitem__)
         labels: list[np.ndarray] = [None] * len(sentences)
@@ -335,7 +339,7 @@ class Model:
         start = 0
         while start < len(order):
             stop = start + 1
-            while (stop < len(order) and stop - start < batch_size
+            while (stop < len(order) and stop - start < BATCH_SENTENCES
                    and (stop - start + 1) * self.config.heads * (sizes[order[stop]] + 1) ** 2
                    <= SCORE_CELLS):
                 stop += 1

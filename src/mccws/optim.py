@@ -37,41 +37,38 @@ class AdamW:
     moment estimates. Tensors with fewer than two dims (biases, layer-norm
     gains) are excluded from decay."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.01):
+    BETA1, BETA2 = 0.9, 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: dict[str, Tensor], weight_decay: float):
         self.params = params
-        self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
-    def step(self, lr: float | None = None) -> None:
-        """Apply one update from the gradients currently on the parameters.
+    def step(self, lr: float) -> None:
+        """Apply one update at learning rate lr from the gradients currently
+        on the parameters.
 
         A parameter whose grad is None is treated as having zero gradient,
         so decoupled decay still applies to it.
         """
-        if lr is None:
-            lr = self.lr
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - self.BETA1 ** t
+        bc2 = 1.0 - self.BETA2 ** t
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else 0.0
             if isinstance(g, np.ndarray) and g.shape != p.data.shape:
                 raise ValueError(f"gradient shape {g.shape} does not match {name} {p.data.shape}")
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * np.square(g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
             if self.weight_decay and p.data.ndim >= 2:
                 update = update + self.weight_decay * p.data
             p.data -= lr * update

@@ -28,6 +28,16 @@ RULES = ("pairs", "singles", "run")
 STARTER_CHARS = "天地玄黄宇宙洪荒日月盈昃辰宿列"
 FOLLOWER_CHARS = "张寒来暑往秋收冬藏闰余成岁律吕"
 DIGIT_CHARS = "一二三四五六七八九十"
+# A sentence has MIN_SEGMENTS..MAX_SEGMENTS segments, each a digit run of
+# MIN_RUN..MAX_RUN characters with probability DIGIT_RUN_PROB (never right
+# after another run), else a content word. Dev and test swap in one of
+# HELDOUT_WORD_TYPES words unseen in training with probability HELDOUT_PROB.
+MIN_SEGMENTS, MAX_SEGMENTS = 3, 6
+DIGIT_RUN_PROB = 0.65
+MIN_RUN, MAX_RUN = 2, 4
+CONTENT_WORD_TYPES = 60
+HELDOUT_WORD_TYPES = 4
+HELDOUT_PROB = 0.03
 
 
 @dataclass
@@ -36,17 +46,6 @@ class SyntheticSpec:
     n_train: int = 2000
     n_dev: int = 200
     n_test: int = 200
-    min_segments: int = 3
-    max_segments: int = 6
-    digit_run_prob: float = 0.65
-    min_run: int = 2
-    max_run: int = 4
-    content_word_types: int = 60
-    heldout_word_types: int = 4
-    heldout_prob: float = 0.03
-    starter_chars: str = STARTER_CHARS
-    follower_chars: str = FOLLOWER_CHARS
-    digit_chars: str = DIGIT_CHARS
 
     def validate(self) -> None:
         if not self.criteria:
@@ -56,12 +55,6 @@ class SyntheticSpec:
                 raise ConfigError(f"unknown rule {rule!r} for criterion {name!r}; known: {RULES}")
         if len(self.criteria) > 1 and len(set(self.criteria.values())) == 1:
             raise ConfigError("criteria are identical; segmentations would never disagree")
-        if not 0.0 <= self.digit_run_prob <= 1.0 or not 0.0 <= self.heldout_prob < 1.0:
-            raise ConfigError("probabilities out of range")
-        if self.min_segments < 1 or self.max_segments < self.min_segments:
-            raise ConfigError("bad segment count range")
-        if self.min_run < 1 or self.max_run < self.min_run:
-            raise ConfigError("bad run length range")
 
 
 def segment_run(length: int, rule: str) -> list[int]:
@@ -76,15 +69,14 @@ def segment_run(length: int, rule: str) -> list[int]:
     return out
 
 
-def _make_lexicon(spec: SyntheticSpec, rng) -> list[str]:
-    total = spec.content_word_types + spec.heldout_word_types
+def _make_lexicon(rng) -> list[str]:
+    total = CONTENT_WORD_TYPES + HELDOUT_WORD_TYPES
     words: list[str] = []
     seen = set()
     while len(words) < total:
         n = int(rng.integers(0, 3))  # follower count; word length 1..3
-        w = spec.starter_chars[int(rng.integers(0, len(spec.starter_chars)))]
-        w += "".join(spec.follower_chars[int(i)]
-                     for i in rng.integers(0, len(spec.follower_chars), n))
+        w = STARTER_CHARS[int(rng.integers(0, len(STARTER_CHARS)))]
+        w += "".join(FOLLOWER_CHARS[int(i)] for i in rng.integers(0, len(FOLLOWER_CHARS), n))
         if w not in seen:
             seen.add(w)
             words.append(w)
@@ -96,9 +88,9 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> dict[str, dict[str, li
     sentences. Deterministic in (spec, seed)."""
     spec.validate()
     rng = make_rng(seed)
-    lexicon = _make_lexicon(spec, rng)
-    train_types = lexicon[: spec.content_word_types]
-    heldout_types = lexicon[spec.content_word_types:]
+    lexicon = _make_lexicon(rng)
+    train_types = lexicon[:CONTENT_WORD_TYPES]
+    heldout_types = lexicon[CONTENT_WORD_TYPES:]
 
     names = sorted(spec.criteria)
     corpora: dict[str, dict[str, list[RawSentence]]] = {n: {} for n in names}
@@ -106,17 +98,16 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> dict[str, dict[str, li
         per_criterion: dict[str, list[RawSentence]] = {n: [] for n in names}
         for _ in range(count):
             segments = []  # (kind, chars)
-            n_seg = int(rng.integers(spec.min_segments, spec.max_segments + 1))
+            n_seg = int(rng.integers(MIN_SEGMENTS, MAX_SEGMENTS + 1))
             for _ in range(n_seg):
                 last_was_run = bool(segments) and segments[-1][0] == "run"
-                if not last_was_run and rng.random() < spec.digit_run_prob:
-                    run_len = int(rng.integers(spec.min_run, spec.max_run + 1))
-                    chars = "".join(
-                        spec.digit_chars[int(i)]
-                        for i in rng.integers(0, len(spec.digit_chars), run_len))
+                if not last_was_run and rng.random() < DIGIT_RUN_PROB:
+                    run_len = int(rng.integers(MIN_RUN, MAX_RUN + 1))
+                    chars = "".join(DIGIT_CHARS[int(i)]
+                                    for i in rng.integers(0, len(DIGIT_CHARS), run_len))
                     segments.append(("run", chars))
                 else:
-                    if split != "train" and heldout_types and rng.random() < spec.heldout_prob:
+                    if split != "train" and rng.random() < HELDOUT_PROB:
                         word = heldout_types[int(rng.integers(0, len(heldout_types)))]
                     else:
                         word = train_types[int(rng.integers(0, len(train_types)))]

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import corpus as cp
-from .autodiff import backward, make_rng, zero_grads
+from .autodiff import backward, zero_grads
 from .errors import ConfigError, DataError, DivergenceError
 from .metrics import EvalReport, evaluate_criterion, mean_f1
 from .model import Model, pack_batch
@@ -30,6 +30,12 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.eval_every < 1:
             raise ConfigError("eval_every must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0.0 <= self.warmup_ratio < 1.0:
+            raise ConfigError(f"warmup_ratio must be in [0, 1), got {self.warmup_ratio}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 @dataclass
@@ -52,11 +58,10 @@ def metric_record(**kw) -> dict:
     return rec
 
 
-def make_batches(sentences: list[cp.Sentence], batch_size: int, rng) -> list[list[cp.Sentence]]:
-    """Shuffle with the given generator (or an int seed) and split into
-    batches of at most batch_size, criteria mixed freely."""
-    if isinstance(rng, (int, np.integer)):
-        rng = make_rng(int(rng))
+def make_batches(sentences: list[cp.Sentence], batch_size: int,
+                 rng: np.random.Generator) -> list[list[cp.Sentence]]:
+    """Shuffle with the given generator and split into batches of at most
+    batch_size, criteria mixed freely."""
     order = rng.permutation(len(sentences))
     return [[sentences[i] for i in order[k:k + batch_size]]
             for k in range(0, len(order), batch_size)]
@@ -81,14 +86,14 @@ def prepare_for_eval(raws: list[cp.RawSentence], vocab: cp.Vocab, max_len: int) 
     return sentences
 
 
-def evaluate_model(model: Model, vocab: cp.Vocab, sentences: list[cp.Sentence],
-                   batch_size: int = 64) -> dict[str, tuple[EvalReport, float]]:
+def evaluate_model(model: Model, vocab: cp.Vocab,
+                   sentences: list[cp.Sentence]) -> dict[str, tuple[EvalReport, float]]:
     """Segment every sentence in eval mode and score each criterion that has
     sentences.
 
     Returns criterion name -> (EvalReport, criterion classifier accuracy).
     """
-    labels, criteria = model.predict(sentences, vocab, batch_size)
+    labels, criteria = model.predict(sentences, vocab)
     results = {}
     for cid, name in enumerate(vocab.criterion_names):
         rows = [j for j, sent in enumerate(sentences) if sent.criterion_id == cid]
@@ -118,7 +123,7 @@ def train(model: Model, vocab: cp.Vocab, train_sentences: list[cp.Sentence],
     n_batches = math.ceil(len(train_sentences) / cfg.batch_size)
     total_steps = cfg.epochs * n_batches
     schedule = WarmupLinearSchedule(cfg.lr, total_steps, cfg.warmup_ratio)
-    optimizer = AdamW(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    optimizer = AdamW(model.params, cfg.weight_decay)
     shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 1])))
     dropout_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 2])))
 
@@ -142,7 +147,7 @@ def train(model: Model, vocab: cp.Vocab, train_sentences: list[cp.Sentence],
         metrics.append(metric_record(epoch=epoch, split="train",
                                      loss=epoch_loss / len(train_sentences)))
         if dev_sentences and epoch % cfg.eval_every == 0:
-            results = evaluate_model(model, vocab, dev_sentences, batch_size=cfg.batch_size)
+            results = evaluate_model(model, vocab, dev_sentences)
             reports = [rep for rep, _ in results.values()]
             for name, (rep, acc) in results.items():
                 metrics.append(metric_record(

@@ -245,7 +245,7 @@ def test_criterion_8_optimizer_and_schedule():
     c = np.array([3.0, -1.0, 7.0])
     from mccws.autodiff import parameter
     theta = parameter(np.zeros((1, 3)))
-    opt = AdamW({"w": theta}, lr=0.1, weight_decay=0.0)
+    opt = AdamW({"w": theta}, weight_decay=0.0)
     sched = WarmupLinearSchedule(base_lr=0.1, total_steps=500, warmup_ratio=0.1)
 
     def loss():

@@ -107,6 +107,10 @@ def bmes_str(labels: list[int]) -> str:
     return "".join(LABELS[y] for y in labels)
 
 
+def bmes_ids(letters: str) -> list[int]:
+    return [LABELS.index(letter) for letter in letters]
+
+
 def test_encode_ctb_row():
     labels = encode_bmes([(0, 2), (2, 4), (4, 7)], 7)
     assert bmes_str(labels) == "BEBEBME"
@@ -131,17 +135,17 @@ def test_encode_rejects_non_partition():
 
 
 def test_decode_valid_sequence():
-    assert decode_bmes("BEBEBME") == [(0, 2), (2, 4), (4, 7)]
+    assert decode_bmes(bmes_ids("BEBEBME")) == [(0, 2), (2, 4), (4, 7)]
 
 
 def test_decode_repair_mms():
     # repair rule applied by hand: M opens, M extends, S closes then singleton
-    assert decode_bmes("MMS") == [(0, 2), (2, 3)]
+    assert decode_bmes(bmes_ids("MMS")) == [(0, 2), (2, 3)]
 
 
 def test_decode_repair_bbs():
     # second B closes the first word at length 1
-    assert decode_bmes("BBS") == [(0, 1), (1, 2), (2, 3)]
+    assert decode_bmes(bmes_ids("BBS")) == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_bmes_round_trip_random():
@@ -164,6 +168,9 @@ def test_decode_total_exhaustive_to_len8():
                 pos = end
             assert pos == length
     assert decode_bmes([]) == []
+    for bad in ([4], [0, -1], ["B"]):  # ids only, and only BMES ids
+        with pytest.raises(DataError, match="outside BMES"):
+            decode_bmes(bad)
 
 
 # -- vocab, criterion token, bigrams ------------------------------------------

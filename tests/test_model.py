@@ -433,14 +433,14 @@ def test_forward_shapes(vocab):
 
 def test_batch_padding_consistent_with_single(vocab, monkeypatch):
     # each sentence alone vs padded in batches that predict cuts by length,
-    # by batch_size and by SCORE_CELLS: same prediction, returned in input order
+    # by BATCH_SENTENCES and by SCORE_CELLS: same prediction, returned in input order
     m = tiny_model(vocab, max_len=128)
     m.params["dec.w_o"].data[:] = make_rng(9).normal(size=(4, 16))  # well-separated labels
     m.params["cls.w_c"].data[:] = make_rng(10).normal(size=(2, 16))
     for cid in range(2):  # criterion tokens far apart, so both criteria get predicted
         m.params["tok_emb"].data[vocab.criterion_token_id(cid)] = make_rng(11 + cid).normal(size=16)
     text = "李娜进入半决赛" * 19
-    # short ones, then long ones: batch_size 64 takes them all in one batch
+    # short ones, then long ones: at 64 sentences a batch, one batch takes them all
     # unless SCORE_CELLS splits it (2 heads: at most 8 rows of 127 tokens)
     sizes = (5, 1, 7, 3, 2, 6, 4, 7, 1, 3) + tuple(range(127, 60, -3))
     sentences = [prepare_sentence(RawSentence([text[i % 7:i % 7 + n]], i % 2), vocab)
@@ -462,8 +462,9 @@ def test_batch_padding_consistent_with_single(vocab, monkeypatch):
     for cells in (model_mod.SCORE_CELLS, 2 * 24 ** 2):
         monkeypatch.setattr(model_mod, "SCORE_CELLS", cells)
         for batch_size in (1, 2, 3, 64):
+            monkeypatch.setattr(model_mod, "BATCH_SENTENCES", batch_size)
             batches.clear()
-            labels, criteria = m.predict(sentences, vocab, batch_size=batch_size)
+            labels, criteria = m.predict(sentences, vocab)
             assert [len(x) for x in labels] == [len(s) for s in sentences]
             for x, (solo_labels, _) in zip(labels, solo):
                 assert np.array_equal(x, solo_labels[0])
@@ -473,7 +474,7 @@ def test_batch_padding_consistent_with_single(vocab, monkeypatch):
                 assert B <= batch_size
                 assert B == 1 or B * m.config.heads * L1 ** 2 <= cells, (B, L1)
             assert Counter(row for _, batch in batches for row in batch) == rows
-        assert len(batches) > 2  # batch_size 64 was split by the cap
+        assert len(batches) > 2  # the 64-sentence batch was split by the cap
         assert any(B == 1 and 2 * L1 ** 2 > cells for (B, L1), _ in batches) == (cells < 2 * 128 ** 2)
 
 
@@ -516,12 +517,13 @@ def test_text_windows_cut_at_last_gap():
     assert text_windows(spans("李娜进入 半决赛"), 4) == [(0, 4), (4, 7)]  # gap at the window's end
 
 
-def test_segment_agrees_with_batched_prediction(vocab):
+def test_segment_agrees_with_batched_prediction(vocab, monkeypatch):
     # segment_text's words are decode_bmes of predict over the line's
     # windows, also when those windows share batches with other sentences
     m = tiny_model(vocab)  # windows of at most 31 tokens
     m.params["dec.w_o"].data[:] = make_rng(9).normal(size=(4, 16))  # well-separated labels
     longer = prepare_sentence(RawSentence(["李娜进入半决赛李娜进入"], 0), vocab)
+    monkeypatch.setattr(model_mod, "BATCH_SENTENCES", 3)
     lengths_seen, windows_seen = set(), set()
     for text in ("李", "李娜", "进入半决赛", "半决赛李娜进入", "娜进李",
                  "李娜进入半决赛" * 10, "李娜 进入半决赛 " * 10, " 半决赛李娜进入" * 9):
@@ -531,7 +533,7 @@ def test_segment_agrees_with_batched_prediction(vocab):
         for name, cid in vocab.criteria.items():
             sents = [prepare_sentence(RawSentence(["".join(t for t, _ in toks[lo:hi])], cid), vocab)
                      for lo, hi in windows]
-            labels = m.predict([longer] + sents, vocab, batch_size=3)[0][1:]
+            labels = m.predict([longer] + sents, vocab)[0][1:]
             expected = []
             for (lo, _), window_labels in zip(windows, labels):
                 for s, e in cp.decode_bmes(window_labels.tolist()):
@@ -550,7 +552,7 @@ def test_segment_words_follow_predict_labels(vocab, monkeypatch):
     calls = []
     chosen = {3: [cp.S, cp.B, cp.E], 1: [cp.S]}
 
-    def predict(sentences, vocab, batch_size=64):
+    def predict(sentences, vocab):
         calls.append(sentences)
         return [np.array(chosen[len(s)]) for s in sentences], np.zeros(len(sentences), np.int64)
 
@@ -671,14 +673,14 @@ def test_warm_training_steps_take_few_page_faults(vocab):
     # without the heap policy these five steps took ~170k minor faults
     m, sents = default_model_and_sentences(vocab)
     batch = pack_batch(sents, vocab)
-    optimizer = AdamW(m.params)
+    optimizer = AdamW(m.params, 0.01)
     rng = make_rng(0)
 
     def steps(n):
         for _ in range(n):
             loss = m.loss_batch(*batch, training=True, rng=rng)[0]
             backward(loss)
-            optimizer.step()
+            optimizer.step(1e-3)
             zero_grads(m.params.values())
 
     steps(2)

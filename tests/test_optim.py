@@ -39,16 +39,16 @@ def test_one_step_hand_computed():
     # t=1: m_hat = g, v_hat = g^2, so the update is lr * g/(|g|+eps) = ~lr
     theta = parameter(np.array([[5.0]]))
     theta.grad = np.array([[1.0]])
-    opt = AdamW({"w": theta}, lr=0.1, weight_decay=0.0)
-    opt.step()
+    opt = AdamW({"w": theta}, weight_decay=0.0)
+    opt.step(0.1)
     assert abs((5.0 - theta.data[0, 0]) - 0.1) < 1e-6
 
 
 def test_zero_grad_no_decay_is_identity():
     theta = parameter(np.array([[1.0, -2.0]]))
     theta.grad = np.zeros((1, 2))
-    opt = AdamW({"w": theta}, lr=0.5, weight_decay=0.0)
-    opt.step()
+    opt = AdamW({"w": theta}, weight_decay=0.0)
+    opt.step(0.5)
     assert np.array_equal(theta.data, [[1.0, -2.0]])
 
 
@@ -57,16 +57,16 @@ def test_decoupled_decay_isolated():
     b = parameter(np.array([3.0]))
     w.grad = np.zeros((1, 2))
     b.grad = np.zeros(1)
-    opt = AdamW({"w": w, "b": b}, lr=0.1, weight_decay=0.01)
-    opt.step()
+    opt = AdamW({"w": w, "b": b}, weight_decay=0.01)
+    opt.step(0.1)
     assert np.allclose(w.data, np.array([[2.0, -4.0]]) * (1 - 0.1 * 0.01), atol=0, rtol=0)
     assert np.array_equal(b.data, [3.0])  # 1-D tensors are excluded from decay
 
 
 def test_none_grad_treated_as_zero():
     w = parameter(np.array([[2.0]]))
-    opt = AdamW({"w": w}, lr=0.1, weight_decay=0.01)
-    opt.step()
+    opt = AdamW({"w": w}, weight_decay=0.01)
+    opt.step(0.1)
     assert np.allclose(w.data, [[2.0 * (1 - 0.001)]])
 
 
@@ -75,7 +75,7 @@ def test_quadratic_convergence():
     a = np.array([1.0, 4.0, 0.5])
     c = np.array([3.0, -1.0, 7.0])
     theta = parameter(np.zeros((1, 3)))
-    opt = AdamW({"w": theta}, lr=0.1, weight_decay=0.0)
+    opt = AdamW({"w": theta}, weight_decay=0.0)
     sched = WarmupLinearSchedule(base_lr=0.1, total_steps=500, warmup_ratio=0.1)
 
     def loss():

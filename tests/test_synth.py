@@ -1,9 +1,11 @@
 import pytest
 
+from mccws import synth
 from mccws.corpus import RawSentence
 from mccws.errors import ConfigError
 from mccws.synth import (
-    SyntheticSpec, boundaries, boundary_disagreement, generate_synthetic, segment_run,
+    DIGIT_CHARS, MAX_RUN, MIN_RUN, SyntheticSpec, boundaries, boundary_disagreement,
+    generate_synthetic, segment_run,
 )
 
 
@@ -17,14 +19,16 @@ def test_segment_run_rules():
     assert segment_run(3, "run") == [3]
 
 
-def test_pair_vs_singleton_example():
+def test_pair_vs_singleton_example(monkeypatch):
     # a [content][DD][content] sentence splits per rule
-    spec = SyntheticSpec(criteria={"a": "pairs", "b": "singles"},
-                         n_train=40, n_dev=0, n_test=0,
-                         min_segments=3, max_segments=3,
-                         digit_run_prob=0.9, min_run=2, max_run=2)
+    monkeypatch.setattr(synth, "MIN_SEGMENTS", 3)
+    monkeypatch.setattr(synth, "MAX_SEGMENTS", 3)
+    monkeypatch.setattr(synth, "DIGIT_RUN_PROB", 0.9)
+    monkeypatch.setattr(synth, "MIN_RUN", 2)
+    monkeypatch.setattr(synth, "MAX_RUN", 2)
+    spec = SyntheticSpec(criteria={"a": "pairs", "b": "singles"}, n_train=40, n_dev=0, n_test=0)
     corpora = generate_synthetic(spec, seed=0)
-    digit_set = set(spec.digit_chars)
+    digit_set = set(DIGIT_CHARS)
     found = False
     for sa, sb in zip(corpora["a"]["train"], corpora["b"]["train"]):
         runs_a = [w for w in sa.words if set(w) <= digit_set]
@@ -82,7 +86,7 @@ def test_parallel_text_and_valid_partitions():
 def test_runs_never_adjacent():
     spec = SyntheticSpec(n_train=200, n_dev=0, n_test=0)
     corpora = generate_synthetic(spec, seed=4)
-    digit_set = set(spec.digit_chars)
+    digit_set = set(DIGIT_CHARS)
     name = sorted(corpora)[0]
     for sent in corpora[name]["train"]:
         text = "".join(sent.words)
@@ -97,14 +101,15 @@ def test_runs_never_adjacent():
                 cur = 0
         if cur:
             stretches.append(cur)
-        assert all(spec.min_run <= s <= spec.max_run for s in stretches)
+        assert all(MIN_RUN <= s <= MAX_RUN for s in stretches)
 
 
-def test_heldout_words_absent_from_train():
-    spec = SyntheticSpec(n_train=300, n_dev=100, n_test=0, heldout_prob=0.2)
+def test_heldout_words_absent_from_train(monkeypatch):
+    monkeypatch.setattr(synth, "HELDOUT_PROB", 0.2)
+    spec = SyntheticSpec(n_train=300, n_dev=100, n_test=0)
     corpora = generate_synthetic(spec, seed=6)
     name = sorted(corpora)[0]
-    digit_set = set(spec.digit_chars)
+    digit_set = set(DIGIT_CHARS)
     train_words = {w for s in corpora[name]["train"] for w in s.words if not set(w) <= digit_set}
     dev_words = {w for s in corpora[name]["dev"] for w in s.words if not set(w) <= digit_set}
     assert dev_words - train_words, "dev should contain some unseen content words"

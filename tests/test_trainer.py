@@ -35,22 +35,22 @@ def small_model(vocab, seed=0, **overrides):
 
 def test_make_batches_sizes(small_setup):
     vocab, train_sents, _ = small_setup
-    batches = tr.make_batches(train_sents[:5], 2, 0)
+    batches = tr.make_batches(train_sents[:5], 2, make_rng(0))
     assert [len(b) for b in batches] == [2, 2, 1]
 
 
 def test_make_batches_seed_determinism(small_setup):
     _, train_sents, _ = small_setup
-    a = tr.make_batches(train_sents, 8, 123)
-    b = tr.make_batches(train_sents, 8, 123)
+    a = tr.make_batches(train_sents, 8, make_rng(123))
+    b = tr.make_batches(train_sents, 8, make_rng(123))
     assert [[id(s) for s in batch] for batch in a] == [[id(s) for s in batch] for batch in b]
-    c = tr.make_batches(train_sents, 8, 124)
+    c = tr.make_batches(train_sents, 8, make_rng(124))
     assert [[id(s) for s in batch] for batch in a] != [[id(s) for s in batch] for batch in c]
 
 
 def test_batches_mix_criteria_and_keep_own_token(small_setup):
     vocab, train_sents, _ = small_setup
-    batches = tr.make_batches(train_sents, 16, 5)
+    batches = tr.make_batches(train_sents, 16, make_rng(5))
     mixed = [b for b in batches if len({s.criterion_id for s in b}) > 1]
     assert mixed, "expected at least one mixed-criteria batch"
     ids, _, _, _, cids = pack_batch(mixed[0], vocab)
@@ -98,11 +98,11 @@ def test_first_step_reduces_loss_multiseed(small_setup):
     vocab, train_sents, _ = small_setup
     for seed in range(5):
         model = small_model(vocab, seed=seed)
-        batch = tr.make_batches(train_sents, 16, seed)[0]
+        batch = tr.make_batches(train_sents, 16, make_rng(seed))[0]
         ids, bi, lengths, labels, cids = pack_batch(batch, vocab)
         loss0, _ = model.loss_batch(ids, bi, lengths, labels, cids)
         backward(loss0)
-        AdamW(model.params, lr=1e-3).step()
+        AdamW(model.params, 0.01).step(1e-3)
         zero_grads(model.params.values())
         loss1, _ = model.loss_batch(ids, bi, lengths, labels, cids)
         assert loss1.item() < loss0.item(), f"seed {seed}"
