@@ -3,9 +3,13 @@
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 divergence.
 """
 
+import codecs
+import collections
 import contextlib
+import io
 import json
 import os
+import select
 import sys
 
 import click
@@ -16,7 +20,7 @@ from . import metrics as mt
 from . import synth as sy
 from . import trainer as tr
 from .errors import ConfigError, DataError, DivergenceError
-from .model import Model, ModelConfig
+from .model import BATCH_SENTENCES, Model, ModelConfig
 
 EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE = 2, 3, 4
 
@@ -51,6 +55,40 @@ model_options = [
     click.option("--dropout", default=0.1, show_default=True, help="Dropout probability."),
     click.option("--no-bigram", is_flag=True, help="Disable the bigram feature channel."),
 ]
+
+
+def line_blocks(binary, encoding: str, translate: bool):
+    """The lines of a byte stream, without their newlines, in blocks of at
+    most BATCH_SENTENCES lines. A block's first line may wait for input;
+    later lines join it only if they are already read or readable at once,
+    so a caller who sends one line and waits for its answer gets it.
+
+    translate=True ends a line at "\r\n", "\r" or "\n", as open() reads a
+    text file; otherwise only "\n" ends one, as sys.stdin reads, and a "\r"
+    stays in the line. An undecodable byte reads as a lone surrogate.
+    """
+    decoder = io.IncrementalNewlineDecoder(
+        codecs.getincrementaldecoder(encoding)(errors="surrogateescape"), translate=translate)
+    fd = binary.fileno()
+    lines, block, tail, eof = collections.deque(), [], "", False
+    while True:
+        if lines and len(block) < BATCH_SENTENCES:
+            block.append(lines.popleft())
+        elif block and (len(block) == BATCH_SENTENCES or eof
+                        or not select.select([fd], [], [], 0)[0]):
+            yield block
+            block = []
+        elif eof:
+            return
+        else:
+            # read1 makes at most one read and keeps nothing back, so select
+            # sees every byte that is not yet in lines or tail
+            chunk = binary.read1(1 << 16)
+            eof = not chunk
+            *done, tail = (tail + decoder.decode(chunk, final=eof)).split("\n")
+            lines.extend(done)
+            if eof and tail:
+                lines.append(tail)
 
 
 def add_options(options):
@@ -153,24 +191,27 @@ def cmd_segment(checkpoint_path, vocab_path, criterion, input_path, output_path)
     vocab.criterion_id(criterion)  # an unknown criterion exits 2 even on empty input
     with contextlib.ExitStack() as stack:
         try:
-            src = stack.enter_context(open(input_path, encoding="utf-8")) if input_path else sys.stdin
+            src = stack.enter_context(open(input_path, "rb")) if input_path else sys.stdin.buffer
         except OSError as exc:
             raise DataError(f"cannot read input {input_path}: {exc}") from exc
         dst = (stack.enter_context(cp.open_output(output_path, "w", encoding="utf-8"))
                if output_path else sys.stdout)
         # an undecodable byte reads as a lone surrogate (one <unk> token) and
         # is written back as the same byte
-        src.reconfigure(errors="surrogateescape")
         dst.reconfigure(errors="surrogateescape")
         limit = model.config.max_len - 1
-        for number, line in enumerate(src, 1):
-            text = line.rstrip("\n")
-            tokens = cp.text_tokens(text)
-            if len(tokens) > limit:
-                click.echo(f"note: line {number} has more than {limit} tokens;"
-                           " it is segmented in windows of at most that many", err=True)
-            words = model.segment_text(text, criterion, vocab, tokens=tokens)
-            dst.write(" ".join(words) + "\n")
+        number = 0
+        blocks = (line_blocks(src, "utf-8", translate=True) if input_path
+                  else line_blocks(src, sys.stdin.encoding, translate=False))
+        for block in blocks:
+            tokens = [cp.text_tokens(text) for text in block]
+            for line_tokens in tokens:
+                number += 1
+                if len(line_tokens) > limit:
+                    click.echo(f"note: line {number} has more than {limit} tokens;"
+                               " it is segmented in windows of at most that many", err=True)
+            for words in model.segment_text(block, criterion, vocab, tokens=tokens):
+                dst.write(" ".join(words) + "\n")
             dst.flush()
 
 

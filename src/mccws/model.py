@@ -355,27 +355,32 @@ class Model:
                 offset += sizes[i]
         return labels, np.array(criteria, dtype=np.int64)
 
-    def segment_text(self, text: str, criterion_name: str, vocab: cp.Vocab,
-                     tokens: list[tuple[str, tuple[int, int]]] | None = None) -> list[str]:
-        """Segment raw text under the named criterion, through predict.
+    def segment_text(self, texts: list[str], criterion_name: str, vocab: cp.Vocab,
+                     tokens: list[list[tuple[str, tuple[int, int]]]] | None = None
+                     ) -> list[list[str]]:
+        """Segment raw texts under the named criterion, all through one
+        predict call; returns each text's words, in input order.
 
         Latin/digit runs are re-emitted verbatim from the original text.
         Whitespace is dropped before the forward pass and always ends a word.
-        Text of more than max_len - 1 tokens is segmented in consecutive
-        windows that fit (see text_windows), all in one predict call.
-        tokens is cp.text_tokens(text), for a caller that already has it.
+        A text of more than max_len - 1 tokens is segmented in consecutive
+        windows that fit (see text_windows). tokens[i] is
+        cp.text_tokens(texts[i]), for a caller that already has them.
         """
         cid = vocab.criterion_id(criterion_name)
-        toks_spans = cp.text_tokens(text) if tokens is None else tokens
-        windows = [toks_spans[lo:hi] for lo, hi in
-                   text_windows([span for _, span in toks_spans], self.config.max_len - 1)]
+        if tokens is None:
+            tokens = [cp.text_tokens(text) for text in texts]
+        windows = []  # (index of the text, the window's (token, span) pairs)
+        for i, toks_spans in enumerate(tokens):
+            windows.extend((i, toks_spans[lo:hi]) for lo, hi in
+                           text_windows([span for _, span in toks_spans], self.config.max_len - 1))
         labels, _ = self.predict(
-            [cp.index_sentence([t for t, _ in window], vocab, cid) for window in windows], vocab)
-        words = []
-        for window, window_labels in zip(windows, labels):
+            [cp.index_sentence([t for t, _ in window], vocab, cid) for _, window in windows], vocab)
+        words: list[list[str]] = [[] for _ in texts]
+        for (i, window), window_labels in zip(windows, labels):
             for s, e in cp.decode_bmes(window_labels.tolist()):
                 # the gaps between kept tokens are whitespace
-                words.extend(text[window[s][1][0]:window[e - 1][1][1]].split())
+                words[i].extend(texts[i][window[s][1][0]:window[e - 1][1][1]].split())
         return words
 
 

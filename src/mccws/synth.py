@@ -55,6 +55,9 @@ class SyntheticSpec:
                 raise ConfigError(f"unknown rule {rule!r} for criterion {name!r}; known: {RULES}")
         if len(self.criteria) > 1 and len(set(self.criteria.values())) == 1:
             raise ConfigError("criteria are identical; segmentations would never disagree")
+        for name in ("n_train", "n_dev", "n_test"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def segment_run(length: int, rule: str) -> list[int]:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import select
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from mccws import cli
+from mccws import corpus as cp
 from mccws.checkpoint import MAGIC, load_checkpoint, read_checkpoint, save_checkpoint
 from mccws.corpus import RawSentence, Vocab
 from mccws.errors import DataError
@@ -247,6 +249,93 @@ def test_segment_output_file_passes_undecodable_bytes(trained, tmp_path):
     out = tmp_path / "out.txt"
     segment_bytes(trained, UNDECODABLE, "--output", str(out), io_errors="surrogateescape")
     assert_partitions(out.read_bytes(), UNDECODABLE)
+
+
+def test_segment_newline_rules(trained, tmp_path):
+    # on stdin only "\n" ends a line and "\r" stays in the text; a file is
+    # read with universal newlines, so "\r\n", "\r" and "\n" each end one
+    data = "李娜进入半决赛\r\n李娜\r进入半决赛\n半决赛".encode()
+    (tmp_path / "in.txt").write_bytes(data)
+    # "\r" is whitespace, so a line reads as it would with a space for it
+    references = {"stdin": "李娜进入半决赛 \n 李娜 进入半决赛\n半决赛\n",
+                  "file": "李娜进入半决赛\n 李娜\n进入半决赛\n半决赛\n"}
+    for name, text in references.items():
+        (tmp_path / f"{name}_lines.txt").write_text(text, encoding="utf-8")
+    expected = {name: segment_bytes(trained, b"", "--input", str(tmp_path / f"{name}_lines.txt"),
+                                    io_errors="strict").stdout
+                for name in references}
+    assert expected["stdin"].count(b"\n") == 3 and expected["file"].count(b"\n") == 4
+    assert segment_bytes(trained, data, io_errors="strict").stdout == expected["stdin"]
+    assert segment_bytes(trained, b"", "--input", str(tmp_path / "in.txt"),
+                         io_errors="strict").stdout == expected["file"]
+
+
+def mixed_lines(max_len: int) -> list[str]:
+    """At least 150 lines: blank, whitespace-only, short, over max_len - 1
+    tokens, and UNDECODABLE's lines, read with surrogateescape."""
+    rng = np.random.default_rng(7)
+    pieces = ["李娜", "进入", "半决赛", "李娜进入半决赛", " ", "\t", "2024", "ok"]
+    lines = UNDECODABLE.decode("utf-8", "surrogateescape").splitlines()
+    for i in range(150):
+        kind = i % 10
+        if kind == 0:
+            lines.append("")
+        elif kind == 1:
+            lines.append(" \t ")
+        elif kind == 2:  # over max_len - 1 tokens, with and without a gap
+            lines.append("李娜进入半决赛" * (max_len // 7 + 1) + " 半决赛" * int(rng.integers(2)))
+        else:
+            lines.append("".join(rng.choice(pieces, size=int(rng.integers(1, 6)))))
+    return lines
+
+
+def test_segment_blocks_match_line_at_a_time(trained, tmp_path):
+    # the lines waiting together are decoded together; each line's words
+    # equal those of segmenting it alone, on stdin and from a file
+    d = trained
+    vocab = Vocab.load(d / "vocab.txt")
+    model, _, _ = load_checkpoint(d / "model.ckpt", vocab)
+    limit = model.config.max_len - 1
+    lines = mixed_lines(model.config.max_len)
+    expected = "".join(" ".join(model.segment_text([line], "ctb", vocab)[0]) + "\n"
+                       for line in lines).encode("utf-8", "surrogateescape")
+    overlong = [n for n, line in enumerate(lines, 1) if len(cp.text_tokens(line)) > limit]
+    assert len(lines) >= 150 and len(overlong) >= 15
+    data = "".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape")
+    (tmp_path / "in.txt").write_bytes(data)
+    for args, stdin in ((("--input", str(tmp_path / "in.txt")), b""), ((), data)):
+        proc = segment_bytes(d, stdin, *args, io_errors="strict")
+        assert proc.stdout == expected
+        noted = [int(n) for n in re.findall(rb"note: line (\d+) ", proc.stderr)]
+        assert noted == overlong
+
+
+def test_segment_answers_each_line_before_the_next(trained):
+    # a caller that sends one line and waits gets its answer at once, not
+    # when more lines arrive or its input ends
+    d = trained
+    proc = subprocess.Popen(
+        [*CLI, "segment", "--checkpoint", str(d / "model.ckpt"), "--vocab", str(d / "vocab.txt"),
+         "--criterion", "ctb"], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, bufsize=0)
+    try:
+        for text in ("李娜进入半决赛", "李娜", "半决赛"):
+            proc.stdin.write((text + "\n").encode())
+            answer = b""
+            while not answer.endswith(b"\n"):
+                ready, _, _ = select.select([proc.stdout], [], [], 60)
+                assert ready, f"no answer to {text!r}"
+                chunk = proc.stdout.read(4096)
+                assert chunk, proc.stderr.read().decode()
+                answer += chunk
+            assert answer.decode().replace(" ", "") == text + "\n"
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 def test_segment_max_len_one_checkpoint_exits_data(trained, tmp_path):
@@ -605,6 +694,13 @@ def test_synth_writes_splits(tmp_path):
 def test_synth_rejects_identical_rules(tmp_path):
     run_cli("synth", "--out-dir", str(tmp_path / "s2"),
             "--criteria", "a=run", "--criteria", "b=run", expect=2)
+
+
+@pytest.mark.parametrize("option", ["--train-sentences", "--dev-sentences", "--test-sentences"])
+def test_synth_negative_sentence_count_exits_config(tmp_path, option):
+    proc = run_cli("synth", "--out-dir", str(tmp_path / "s3"), option, "-5", expect=2)
+    assert "must be >= 0" in proc.stderr and "Traceback" not in proc.stderr
+    assert os.listdir(tmp_path) == []
 
 
 def test_synth_out_dir_under_file_exits_data(tmp_path):

@@ -482,13 +482,14 @@ def test_batch_padding_consistent_with_single(vocab, monkeypatch):
 
 def test_segment_empty(vocab):
     m = tiny_model(vocab)
-    assert m.segment_text("", "ctb", vocab) == []
+    assert m.segment_text([""], "ctb", vocab) == [[]]
+    assert m.segment_text([], "ctb", vocab) == []
 
 
 def test_segment_unknown_criterion(vocab):
     m = tiny_model(vocab)
     with pytest.raises(ConfigError, match="registered"):
-        m.segment_text("李娜", "as", vocab)
+        m.segment_text(["李娜"], "as", vocab)
 
 
 def test_segment_words_rejoin_to_original(vocab):
@@ -498,7 +499,7 @@ def test_segment_words_rejoin_to_original(vocab):
     for text in ("李娜进入半决赛", "李娜2024年ok了", "ＡＢＣ１２３李娜", "abc 123",
                  "天地 玄\r", " 李娜\t进入\u3000半决赛 ", " \r\n",
                  "李娜进入半决赛" * 10, "李娜 进入半决赛 " * 10, "李\udcff娜 进入\udc80"):
-        words = m.segment_text(text, "pku", vocab)
+        words = m.segment_text([text], "pku", vocab)[0]
         assert not any(ch.isspace() for word in words for ch in word), words
         assert "".join(words) == "".join(text.split())
     # an undecodable byte, read with surrogateescape, is one <unk> token
@@ -525,8 +526,9 @@ def test_segment_agrees_with_batched_prediction(vocab, monkeypatch):
     longer = prepare_sentence(RawSentence(["李娜进入半决赛李娜进入"], 0), vocab)
     monkeypatch.setattr(model_mod, "BATCH_SENTENCES", 3)
     lengths_seen, windows_seen = set(), set()
-    for text in ("李", "李娜", "进入半决赛", "半决赛李娜进入", "娜进李",
-                 "李娜进入半决赛" * 10, "李娜 进入半决赛 " * 10, " 半决赛李娜进入" * 9):
+    texts = ("李", "李娜", "进入半决赛", "半决赛李娜进入", "娜进李",
+             "李娜进入半决赛" * 10, "李娜 进入半决赛 " * 10, " 半决赛李娜进入" * 9)
+    for text in texts:
         toks = cp.text_tokens(text)
         windows = text_windows([span for _, span in toks], m.config.max_len - 1)
         windows_seen.add(len(windows))
@@ -538,11 +540,15 @@ def test_segment_agrees_with_batched_prediction(vocab, monkeypatch):
             for (lo, _), window_labels in zip(windows, labels):
                 for s, e in cp.decode_bmes(window_labels.tolist()):
                     expected.extend(text[toks[lo + s][1][0]:toks[lo + e - 1][1][1]].split())
-            words = m.segment_text(text, name, vocab)
+            words = m.segment_text([text], name, vocab)[0]
             assert words == expected
             lengths_seen.update(len(w) for w in words)
     assert len(lengths_seen) > 1  # not all words of one length
     assert windows_seen == {1, 3}
+    # every window of every text in one call: each text's words as if alone
+    for name in vocab.criteria:
+        assert m.segment_text(list(texts), name, vocab) == \
+            [m.segment_text([text], name, vocab)[0] for text in texts]
 
 
 def test_segment_words_follow_predict_labels(vocab, monkeypatch):
@@ -557,11 +563,17 @@ def test_segment_words_follow_predict_labels(vocab, monkeypatch):
         return [np.array(chosen[len(s)]) for s in sentences], np.zeros(len(sentences), np.int64)
 
     monkeypatch.setattr(m, "predict", predict)
-    assert m.segment_text("李娜进入半决赛", "pku", vocab) == ["李", "娜进", "入", "半决", "赛"]
+    assert m.segment_text(["李娜进入半决赛"], "pku", vocab) == [["李", "娜进", "入", "半决", "赛"]]
     chosen[3] = [cp.B, cp.M, cp.E]
-    assert m.segment_text("李娜进入半决赛", "pku", vocab) == ["李娜进", "入半决", "赛"]
-    assert m.segment_text("李 娜进入", "pku", vocab) == ["李", "娜进入"]  # windowed at the gap
+    assert m.segment_text(["李娜进入半决赛"], "pku", vocab) == [["李娜进", "入半决", "赛"]]
+    assert m.segment_text(["李 娜进入"], "pku", vocab) == [["李", "娜进入"]]  # windowed at the gap
     assert len(calls) == 3
+    # the windows of several texts, empty ones included, go in one call
+    assert m.segment_text(["李 娜进入", "", " ", "李娜进入半决赛"], "pku", vocab) == \
+        [["李", "娜进入"], [], [], ["李娜进", "入半决", "赛"]]
+    assert len(calls) == 4
+    assert [s.tokens for s in calls[3]] == [["李"], ["娜", "进", "入"], ["李", "娜", "进"],
+                                           ["入", "半", "决"], ["赛"]]
     windows = calls[0]
     assert [s.tokens for s in windows] == [["李", "娜", "进"], ["入", "半", "决"], ["赛"]]
     for s in windows:
@@ -578,7 +590,7 @@ def test_segment_and_predict_never_pack_training_batches(vocab, monkeypatch):
     monkeypatch.setattr(model_mod, "pack_batch", refuse)
     m = tiny_model(vocab)
     text = "李娜进入半决赛" * 10
-    assert "".join(m.segment_text(text, "ctb", vocab)) == text
+    assert "".join(m.segment_text([text], "ctb", vocab)[0]) == text
     unlabeled = cp.index_sentence(list("李娜进入"), vocab, 1)
     labels, criteria = m.predict([unlabeled], vocab)
     assert len(labels[0]) == 4 and criteria.shape == (1,)
@@ -586,8 +598,8 @@ def test_segment_and_predict_never_pack_training_batches(vocab, monkeypatch):
 
 def test_segment_deterministic_across_runs(vocab):
     m = tiny_model(vocab)
-    a = m.segment_text("李娜进入半决赛", "ctb", vocab)
-    b = m.segment_text("李娜进入半决赛", "ctb", vocab)
+    a = m.segment_text(["李娜进入半决赛"], "ctb", vocab)
+    b = m.segment_text(["李娜进入半决赛"], "ctb", vocab)
     assert a == b
 
 

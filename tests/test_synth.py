@@ -64,6 +64,15 @@ def test_degenerate_spec_rejected():
         generate_synthetic(SyntheticSpec(criteria={"a": "nope", "b": "run"}), seed=0)
 
 
+def test_negative_sentence_counts_rejected():
+    for field in ("n_train", "n_dev", "n_test"):
+        with pytest.raises(ConfigError, match=field):
+            generate_synthetic(SyntheticSpec(**{field: -1}), seed=0)
+    # an empty split stays valid
+    corpora = generate_synthetic(SyntheticSpec(n_train=0, n_dev=0, n_test=0), seed=0)
+    assert all(sents == [] for splits in corpora.values() for sents in splits.values())
+
+
 def test_single_criterion_allowed():
     spec = SyntheticSpec(criteria={"only": "run"}, n_train=10, n_dev=2, n_test=2)
     corpora = generate_synthetic(spec, seed=0)
