@@ -37,11 +37,18 @@ def parse_pairs(pairs, what: str) -> dict[str, str]:
     return out
 
 
-def load_criterion_corpora(pairs, vocab: cp.Vocab, option: str) -> dict[str, list[cp.RawSentence]]:
-    """The NAME=PATH pairs of --option, each read as its criterion's corpus."""
+def load_criterion_corpora(pairs, vocab: cp.Vocab, option: str, prepare,
+                           max_len: int) -> dict[str, list[cp.Sentence]]:
+    """The NAME=PATH pairs of --option, each read as its criterion's corpus
+    and prepared by prepare(raws, vocab, max_len), a trainer.prepare_for_*
+    function; a refusal names the file and its criterion."""
     corpora = {}
     for name, path in parse_pairs(pairs, option).items():
-        corpora[name] = cp.load_corpus(path, vocab.criterion_id(name))
+        raws = cp.load_corpus(path, vocab.criterion_id(name))
+        try:
+            corpora[name] = prepare(raws, vocab, max_len)
+        except DataError as exc:
+            raise DataError(f"{path} (criterion {name!r}): {exc}") from exc
     return corpora
 
 
@@ -145,12 +152,13 @@ def cmd_train(corpora, dev_corpora, vocab_path, out, metrics_log,
                          dropout_p=dropout, use_bigram=not no_bigram)
     model = Model.for_vocab(config, vocab, seed=seed)
 
-    train_sents = []
-    for name, raws in load_criterion_corpora(corpora, vocab, "corpus").items():
-        train_sents.extend(tr.prepare_for_training(raws, vocab, config.max_len))
-    dev_sents = []
-    for name, raws in load_criterion_corpora(dev_corpora, vocab, "dev").items():
-        dev_sents.extend(tr.prepare_for_eval(raws, vocab, config.max_len))
+    train_sents, dev_sents = [], []
+    for sents in load_criterion_corpora(corpora, vocab, "corpus", tr.prepare_for_training,
+                                        config.max_len).values():
+        train_sents.extend(sents)
+    for sents in load_criterion_corpora(dev_corpora, vocab, "dev", tr.prepare_for_eval,
+                                        config.max_len).values():
+        dev_sents.extend(sents)
 
     cfg = tr.TrainConfig(epochs=epochs, batch_size=batch_size, seed=seed,
                          eval_every=eval_every, lr=lr, warmup_ratio=warmup_ratio,
@@ -227,12 +235,12 @@ def cmd_evaluate(checkpoint_path, vocab_path, gold_corpora, report_path):
     arithmetic-mean row when several criteria are given."""
     vocab = cp.Vocab.load(vocab_path)
     model, _, _ = ckpt.load_checkpoint(checkpoint_path, vocab)
-    corpora = load_criterion_corpora(gold_corpora, vocab, "gold")
-    for name, raws in corpora.items():
-        if not raws:
+    corpora = load_criterion_corpora(gold_corpora, vocab, "gold", tr.prepare_for_eval,
+                                     model.config.max_len)
+    for name, sents in corpora.items():
+        if not sents:
             raise DataError(f"gold file for criterion {name!r} has no sentences")
-    sentences = [sent for raws in corpora.values()
-                 for sent in tr.prepare_for_eval(raws, vocab, model.config.max_len)]
+    sentences = [sent for sents in corpora.values() for sent in sents]
     results = tr.evaluate_model(model, vocab, sentences)
     reports = [results[name][0] for name in corpora]
     click.echo(mt.report_table(reports), nl=False)

@@ -13,7 +13,7 @@ real position, sentence by sentence ([N, features], see autodiff.Rows).
 Only attention's scores use the padded [batch, position] layout.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -95,17 +95,12 @@ class ModelConfig:
 class ForwardOutput:
     """Per-batch forward results; tensors keep their tape links.
 
-    Rows are packed, sentence by sentence, over real positions only: N =
-    sum(lengths) character rows. Attention probabilities are plain
-    arrays, as the attention node returns them, in the padded
-    [B, heads, L', L'] layout (L' = L+1 in the encoder, L in the
-    contextualizer).
+    Label rows are packed, sentence by sentence, over real positions only:
+    N = sum(lengths) character rows.
     """
 
     label_logits: Tensor    # [N, len(LABELS)]
     criterion_logits: Tensor  # [B, num_criteria]
-    gate_means: np.ndarray  # [N], mean gate activation per character
-    attn: dict = field(default_factory=dict)  # optional attention probs
 
 
 def param_shapes(config: ModelConfig, n_unigrams: int, n_bigrams: int) -> dict[str, tuple]:
@@ -187,18 +182,18 @@ class Model:
 
     # -- attention ----------------------------------------------------------
 
-    def _mha(self, x: Tensor, prefix: str, rows: Rows) -> tuple[Tensor, np.ndarray]:
+    def _mha(self, x: Tensor, prefix: str, rows: Rows) -> Tensor:
         """Multi-head self-attention over the real rows x [N, d_h] of a
         padded [B, L] batch; only real positions are attended to. Four
         nodes: the Q, K and V projections (three linear nodes, one per
         stored matrix), one attention node, which pads, scores and packs the
-        context again, and the output projection. Returns (output [N, d_h],
-        probabilities [B, heads, L, L])."""
+        context again, and the output projection. Returns the output
+        [N, d_h]."""
         p = self.params
         q, k, v = (linear(x, p[f"{prefix}.w{n}"], p[f"{prefix}.b{n}"]) for n in "qkv")
         key_bias = np.where(rows.valid, 0.0, NEG_INF).astype(x.data.dtype)
-        ctx, attn = attention(q, k, v, rows, self.config.heads, key_bias)
-        return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"]), attn
+        ctx, _ = attention(q, k, v, rows, self.config.heads, key_bias)
+        return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
     def _drop(self, x: Tensor, rows: Rows, training: bool, rng) -> Tensor:
         return dropout(x, self.config.dropout_p, training, rng, rows=rows)
@@ -206,7 +201,7 @@ class Model:
     # -- encoder ---------------------------------------------------------------
 
     def encode_batch(self, ids: np.ndarray, rows: Rows,
-                     training: bool = False, rng=None, attn_out: dict | None = None) -> Tensor:
+                     training: bool = False, rng=None) -> Tensor:
         """Token + position embeddings through the encoder stack.
 
         ids: [B, L] augmented and padded; rows: its real positions.
@@ -221,9 +216,7 @@ class Model:
         pos = embedding_lookup(p["pos_emb"], rows.pack(np.broadcast_to(np.arange(L), (B, L))))
         h = self._drop(tok + pos, rows, training, rng)
         for i in range(self.config.encoder_layers):
-            a, attn = self._mha(h, f"enc{i}.attn", rows)
-            if attn_out is not None:
-                attn_out[f"enc{i}"] = attn
+            a = self._mha(h, f"enc{i}.attn", rows)
             h = layer_norm(h + self._drop(a, rows, training, rng),
                            p[f"enc{i}.ln1.gain"], p[f"enc{i}.ln1.bias"])
             f = linear(linear(h, p[f"enc{i}.ffn.w1"], p[f"enc{i}.ffn.b1"]).relu(),
@@ -234,34 +227,30 @@ class Model:
 
     # -- fusion gate -------------------------------------------------------------
 
-    def fuse_batch(self, h: Tensor, e: Tensor | None) -> tuple[Tensor, Tensor | None]:
+    def fuse_batch(self, h: Tensor, e: Tensor | None) -> Tensor:
         """Blend character hidden states with bigram embeddings.
 
         h: [..., d_h] character rows (criterion row excluded); e: [..., d_e].
-        Returns (fused, gate); gate is None when bigrams are disabled.
+        Returns the fused rows; without bigrams, the tanh projection of h.
         """
         p = self.params
         h_proj = linear(h, p["fuse.w_h"], p["fuse.b_h"]).tanh()
         if not self.config.use_bigram:
-            return h_proj, None
+            return h_proj
         if e is None:
             raise ConfigError("bigram embeddings required when use_bigram is set")
         e_proj = linear(e, p["fuse.w_e"], p["fuse.b_e"]).tanh()
         gate = (linear(h, p["fuse.w_fh"]) + linear(e, p["fuse.w_fe"]) + p["fuse.b_f"]).sigmoid()
-        fused = gate * h_proj + (1.0 - gate) * e_proj
-        return fused, gate
+        return gate * h_proj + (1.0 - gate) * e_proj
 
     # -- contextualizer -------------------------------------------------------------
 
     def contextualize_batch(self, fused: Tensor, rows: Rows,
-                            training: bool = False, rng=None,
-                            attn_out: dict | None = None) -> Tensor:
+                            training: bool = False, rng=None) -> Tensor:
         """One attention block with residual and layer norm over the fused
         character rows [rows.count, d_h]; no feed-forward of its own."""
         p = self.params
-        a, attn = self._mha(fused, "ctx.attn", rows)
-        if attn_out is not None:
-            attn_out["ctx"] = attn
+        a = self._mha(fused, "ctx.attn", rows)
         return layer_norm(fused + self._drop(a, rows, training, rng),
                           p["ctx.ln.gain"], p["ctx.ln.bias"])
 
@@ -279,8 +268,7 @@ class Model:
     # -- full forward ----------------------------------------------------------------------
 
     def forward_batch(self, ids: np.ndarray, bigram_ids: np.ndarray | None,
-                      lengths: np.ndarray, training: bool = False, rng=None,
-                      collect_attn: bool = False) -> ForwardOutput:
+                      lengths: np.ndarray, training: bool = False, rng=None) -> ForwardOutput:
         """ids: [B, L+1] augmented+padded; bigram_ids: [B, L]; lengths: [B]
         true character counts (excluding the criterion token)."""
         L1 = ids.shape[1]
@@ -288,19 +276,15 @@ class Model:
         chars = Rows(tokens.valid[:, 1:])
         # each sentence's first row is its criterion token
         first = tokens.pack(np.broadcast_to(np.arange(L1) == 0, tokens.shape))
-        attn_out: dict | None = {} if collect_attn else None
-        H = self.encode_batch(ids, tokens, training=training, rng=rng, attn_out=attn_out)
+        H = self.encode_batch(ids, tokens, training=training, rng=rng)
         e = None
         if self.config.use_bigram:
             e = embedding_lookup(self.params["bigram_emb"],
                                  chars.pack(np.asarray(bigram_ids, dtype=np.int64)))
-        fused, gate = self.fuse_batch(gather_rows(H, Rows(~first)), e)
-        O = self.contextualize_batch(fused, chars, training=training, rng=rng, attn_out=attn_out)
-        label_logits = self.decode_labels(O)
-        criterion_logits = self.classify_criterion(H, Rows(first))
-        gate_means = gate.data.mean(axis=-1) if gate is not None else np.zeros(chars.count)
-        return ForwardOutput(label_logits=label_logits, criterion_logits=criterion_logits,
-                             gate_means=gate_means, attn=attn_out or {})
+        fused = self.fuse_batch(gather_rows(H, Rows(~first)), e)
+        O = self.contextualize_batch(fused, chars, training=training, rng=rng)
+        return ForwardOutput(label_logits=self.decode_labels(O),
+                             criterion_logits=self.classify_criterion(H, Rows(first)))
 
     # -- loss --------------------------------------------------------------------------------
 

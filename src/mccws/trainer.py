@@ -77,12 +77,13 @@ def prepare_for_training(raws: list[cp.RawSentence], vocab: cp.Vocab, max_len: i
 
 
 def prepare_for_eval(raws: list[cp.RawSentence], vocab: cp.Vocab, max_len: int) -> list[cp.Sentence]:
-    """Evaluation never truncates or splits: over-long lines are an error."""
+    """Evaluation never truncates or splits: over-long lines are an error.
+    The error numbers them among raws, the file's non-blank lines."""
     sentences = [cp.prepare_sentence(raw, vocab) for raw in raws]
     offenders = [i + 1 for i, s in enumerate(sentences) if len(s) > max_len - 1]
     if offenders:
-        raise DataError(
-            f"{len(offenders)} sentence(s) exceed {max_len - 1} tokens: lines {offenders}")
+        raise DataError(f"{len(offenders)} sentence(s) exceed {max_len - 1} tokens:"
+                        f" non-blank lines {offenders}")
     return sentences
 
 

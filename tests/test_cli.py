@@ -394,6 +394,39 @@ def test_evaluate_overlong_line_is_data_error(trained, tmp_path):
     assert "lines" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+def test_overlong_gold_or_dev_line_names_file_and_criterion(trained, tmp_path, command):
+    # the second of two files holds the over-long line, at file line 6 and
+    # non-blank line 2; the refusal names that file and its criterion
+    d = trained
+    long = tmp_path / "long.txt"
+    long.write_text("\n\n李 娜\n\n\n" + " ".join(["李娜"] * 40) + "\n", encoding="utf-8")
+    option = "--gold" if command == "evaluate" else "--dev"
+    files = [option, f"ctb={d / 'ctb.txt'}", option, f"pku={long}"]
+    if command == "evaluate":
+        proc = run_cli("evaluate", "--checkpoint", str(d / "model.ckpt"),
+                       "--vocab", str(d / "vocab.txt"), *files, expect=3)
+    else:
+        proc = run_cli("train", "--corpus", f"ctb={d / 'ctb.txt'}",
+                       "--vocab", str(d / "vocab.txt"), "--out", str(tmp_path / "x.ckpt"),
+                       "--max-len", "32", *files, expect=3)
+        assert not (tmp_path / "x.ckpt").exists()
+    assert (f"error: {long} (criterion 'pku'): 1 sentence(s) exceed 31 tokens:"
+            " non-blank lines [2]") in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_train_word_longer_than_max_len_names_file_and_criterion(trained, tmp_path):
+    # training splits long lines at word boundaries, but cannot split a word
+    d = trained
+    (tmp_path / "word.txt").write_text("李娜 " + "进" * 40 + "\n", encoding="utf-8")
+    proc = run_cli("train", "--corpus", f"ctb={d / 'ctb.txt'}",
+                   "--corpus", f"pku={tmp_path / 'word.txt'}", "--vocab", str(d / "vocab.txt"),
+                   "--out", str(tmp_path / "x.ckpt"), "--max-len", "32", expect=3)
+    assert f"error: {tmp_path / 'word.txt'} (criterion 'pku'): word " in proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "x.ckpt").exists()
+
+
 def test_evaluate_empty_gold_exits_data(trained, tmp_path):
     # a blank gold file used to print a 0.0000 row that dragged down the avg row
     d = trained

@@ -65,8 +65,22 @@ def forward_stages(m, ids, bi, lengths):
     H = m.encode_batch(ids, tokens)
     char_rows = Rows(tokens.pack(np.broadcast_to(positions > 0, tokens.shape)))
     e = ad.embedding_lookup(m.params["bigram_emb"], chars.pack(bi))
-    fused, _ = m.fuse_batch(ad.gather_rows(H, char_rows), e)
+    fused = m.fuse_batch(ad.gather_rows(H, char_rows), e)
     return H, fused, m.contextualize_batch(fused, chars)
+
+
+def record_attention(monkeypatch) -> list[np.ndarray]:
+    """Wrap the attention node the model calls; the returned list gets each
+    call's probabilities [B, heads, L', L'], in call order."""
+    probs = []
+
+    def recording(*args):
+        ctx, p = ad.attention(*args)
+        probs.append(p)
+        return ctx, p
+
+    monkeypatch.setattr(model_mod, "attention", recording)
+    return probs
 
 
 # -- config ------------------------------------------------------------------
@@ -143,10 +157,10 @@ def test_fuse_gate_saturation(vocab):
     e_proj = np.tanh(e.data @ p["fuse.w_e"].data.T + p["fuse.b_e"].data)
 
     p["fuse.b_f"].data[:] = 50.0  # gate -> 1
-    f, g = m.fuse_batch(h, e)
+    f = m.fuse_batch(h, e)
     assert np.abs(f.data - h_proj).max() < 1e-6
     p["fuse.b_f"].data[:] = -50.0  # gate -> 0
-    f, g = m.fuse_batch(h, e)
+    f = m.fuse_batch(h, e)
     assert np.abs(f.data - e_proj).max() < 1e-6
 
 
@@ -155,7 +169,7 @@ def test_fuse_matches_straight_line_oracle(vocab):
     rng = make_rng(2)
     h = Tensor(rng.normal(size=(4, 3)))
     e = Tensor(rng.normal(size=(4, 2)))
-    f, g = m.fuse_batch(h, e)
+    f = m.fuse_batch(h, e)
     p = m.params
     # independent straight-line re-implementation of the gate arithmetic
     sig = lambda z: 1.0 / (1.0 + np.exp(-z))
@@ -164,7 +178,6 @@ def test_fuse_matches_straight_line_oracle(vocab):
     gate = sig(h.data @ p["fuse.w_fh"].data.T + e.data @ p["fuse.w_fe"].data.T + p["fuse.b_f"].data)
     expected = gate * h2 + (1 - gate) * e2
     assert np.abs(f.data - expected).max() < 1e-12
-    assert np.abs(g.data - gate).max() < 1e-12
 
 
 def test_fuse_bounds(vocab):
@@ -172,17 +185,30 @@ def test_fuse_bounds(vocab):
     rng = make_rng(3)
     h = Tensor(rng.normal(size=(20, 16)) * 3)
     e = Tensor(rng.normal(size=(20, 8)) * 3)
-    f, g = m.fuse_batch(h, e)
-    assert (g.data > 0).all() and (g.data < 1).all()
-    assert (f.data > -1).all() and (f.data < 1).all()
+    f = m.fuse_batch(h, e).data
+    p = m.params
+    h_proj = np.tanh(h.data @ p["fuse.w_h"].data.T + p["fuse.b_h"].data)
+    e_proj = np.tanh(e.data @ p["fuse.w_e"].data.T + p["fuse.b_e"].data)
+    lo, hi = np.minimum(h_proj, e_proj), np.maximum(h_proj, e_proj)
+    # a gate strictly inside (0, 1) puts every fused value strictly between
+    # its two projections, wherever they differ
+    apart = hi - lo > 1e-9
+    assert apart.mean() > 0.99
+    assert (lo[apart] < f[apart]).all() and (f[apart] < hi[apart]).all()
+    assert np.abs(f[~apart] - lo[~apart]).max(initial=0.0) < 1e-9
 
 
 def test_fuse_without_bigram(vocab):
     m = tiny_model(vocab, use_bigram=False)
     assert "bigram_emb" not in m.params
-    h = Tensor(make_rng(0).normal(size=(4, 16)))
-    f, g = m.fuse_batch(h, None)
-    assert g is None and f.data.shape == (4, 16)
+    rng = make_rng(0)
+    h = Tensor(rng.normal(size=(4, 16)))
+    p = m.params
+    p["fuse.b_h"].data[:] = rng.normal(size=16)
+    f = m.fuse_batch(h, None)
+    expected = np.tanh(h.data @ p["fuse.w_h"].data.T + p["fuse.b_h"].data)
+    assert f.data.shape == (4, 16)
+    assert np.abs(f.data - expected).max() < 1e-12
 
 
 # -- contextualizer ---------------------------------------------------------------
@@ -203,13 +229,14 @@ def test_contextualize_single_position(vocab):
     assert np.abs(o.data - expected).max() < 1e-10
 
 
-def test_attention_rows_sum_to_one(vocab):
+def test_attention_rows_sum_to_one(vocab, monkeypatch):
     m = tiny_model(vocab)
     ids, bi, lengths = sentence_inputs(vocab, ["李娜", "进入", "半决赛"], 0)
-    out = m.forward_batch(ids, bi, lengths, collect_attn=True)
-    for name, attn in out.attn.items():
-        sums = attn.sum(axis=-1)
-        assert np.abs(sums - 1.0).max() < 1e-10, name
+    probs = record_attention(monkeypatch)
+    m.forward_batch(ids, bi, lengths)
+    assert len(probs) == m.config.encoder_layers + 1
+    for i, attn in enumerate(probs):
+        assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-10, i
 
 
 def test_contextualize_permutation_equivariant(vocab):
@@ -408,9 +435,10 @@ def test_padding_cannot_leak(vocab):
 
 # -- shape contract -----------------------------------------------------------------
 
-def test_forward_shapes(vocab):
+def test_forward_shapes(vocab, monkeypatch):
     # rows are packed over real positions: N1 = sum(T + 1) tokens, N = sum(T) chars
-    m = tiny_model(vocab)
+    m = tiny_model(vocab, encoder_layers=2)
+    probs = record_attention(monkeypatch)
     sentences = [["李"], ["李娜", "进入"], ["李娜", "进入", "半决赛"]]
     batches = [[words] for words in sentences] + [sentences]
     for batch in batches:
@@ -421,14 +449,14 @@ def test_forward_shapes(vocab):
         assert H.data.shape == (N + B, 16)
         assert fused.data.shape == (N, 16)
         assert contextual.data.shape == (N, 16)
-        out = m.forward_batch(ids, bi, lengths, collect_attn=True)
+        probs.clear()
+        out = m.forward_batch(ids, bi, lengths)
         assert np.array_equal(m.decode_labels(contextual).data, out.label_logits.data)
         assert out.label_logits.data.shape == (N, 4)
         assert out.criterion_logits.data.shape == (B, 2)
-        assert out.gate_means.shape == (N,)
+        # the encoder's layers attend over L+1 tokens, the contextualizer over L chars
         L = int(lengths.max())
-        assert out.attn["enc0"].shape == (B, 2, L + 1, L + 1)
-        assert out.attn["ctx"].shape == (B, 2, L, L)
+        assert [a.shape for a in probs] == [(B, 2, L + 1, L + 1)] * 2 + [(B, 2, L, L)]
 
 
 def test_batch_padding_consistent_with_single(vocab, monkeypatch):
@@ -657,6 +685,32 @@ def test_model_reaches_every_public_autodiff_op(vocab):
     assert set(public) - reached == set(UNREACHED_AUTODIFF)
 
 
+@pytest.mark.parametrize("use_bigram", [True, False])
+def test_training_step_builds_only_nodes_the_loss_reaches(vocab, monkeypatch, use_bigram):
+    # a training forward computes nothing the loss does not read: every node
+    # it creates is an ancestor of the loss
+    m = tiny_model(vocab, encoder_layers=2, use_bigram=use_bigram)
+    sents = [prepare_sentence(RawSentence(["李娜", "进入"], 0), vocab),
+             prepare_sentence(RawSentence(["半", "决赛"], 1), vocab)]
+    created, make_node = [], ad._node
+
+    def node(data, parents):
+        out = make_node(data, parents)
+        created.append(out)
+        return out
+
+    monkeypatch.setattr(ad, "_node", node)
+    loss, _ = m.loss_batch(*pack_batch(sents, vocab), training=True, rng=make_rng(0))
+    reached, stack = {id(loss): loss}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in reached:
+                reached[id(parent)] = parent
+                stack.append(parent)
+    assert created
+    assert [t for t in created if id(t) not in reached] == []
+
+
 # -- heap policy -------------------------------------------------------------------------
 
 def default_model_and_sentences(vocab):
@@ -711,7 +765,7 @@ def test_param_shapes_cover_all_params(vocab):
     assert m.params["cls.w_c"].data.shape == (2, 16)
 
 
-def test_float32_parameters_keep_the_step_float32(vocab):
+def test_float32_parameters_keep_the_step_float32(vocab, monkeypatch):
     # precision is the parameters' dtype: a training step and predict over a
     # model with float32 parameters make float32 values and gradients only
     m = tiny_model(vocab)
@@ -722,10 +776,11 @@ def test_float32_parameters_keep_the_step_float32(vocab):
     ids, bi, lengths, labels, cids = pack_batch(sents, vocab)
     for t in forward_stages(m, ids, bi, lengths):
         assert t.data.dtype == np.float32
+    probs = record_attention(monkeypatch)
     loss, out = m.loss_batch(ids, bi, lengths, labels, cids, training=True, rng=make_rng(0))
     for t in (loss, out.label_logits, out.criterion_logits):
         assert t.data.dtype == np.float32
-    assert all(a.dtype == np.float32 for a in out.attn.values())
+    assert probs and all(a.dtype == np.float32 for a in probs)
     backward(loss)
     assert {p.grad.dtype for p in m.params.values()} == {np.dtype(np.float32)}
     with no_grad():

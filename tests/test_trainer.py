@@ -71,7 +71,7 @@ def test_prepare_for_training_splits_long():
 def test_prepare_for_eval_rejects_long():
     vocab = Vocab.build({"x": [RawSentence(["天张", "地寒", "玄来"], 0)]})
     raws = [RawSentence(["天张"], 0), RawSentence(["天张", "地寒", "玄来"], 0)]
-    with pytest.raises(DataError, match="lines \\[2\\]"):
+    with pytest.raises(DataError, match="non-blank lines \\[2\\]"):
         tr.prepare_for_eval(raws, vocab, max_len=5)
 
 
