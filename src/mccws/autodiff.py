@@ -9,7 +9,11 @@ The walk consumes the graph, freeing each node once it has propagated.
 
 It holds the ops the model runs: the fused ``linear`` and ``attention``
 nodes, layer norm, dropout, embedding lookup, row gathering, summed
-cross-entropy, and pointwise and sum methods on Tensor.
+cross-entropy, and pointwise and sum methods on Tensor. ``attention`` masks
+padding keys itself and returns only the context; its softmax skips the
+row-max shift where a norm bound on the scores rules out overflow and
+underflow, which makes it agree with the textbook composition to rounding
+rather than bit for bit.
 
 Precision is that of the data: a Tensor keeps float32 data as float32 and
 makes anything else float64 (gradient checks need the headroom), and every
@@ -310,21 +314,34 @@ def gather_rows(x: Tensor, rows: Rows) -> Tensor:
     return out
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, rows: Rows, heads: int,
-              key_bias: np.ndarray) -> tuple[Tensor, np.ndarray]:
+# the score the shifted softmax gives a padding key: its exp is 0 next to any
+# real key's, and a row with no real key comes out uniform
+_MASKED_SCORE = -1e9
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, rows: Rows, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over the real rows of a
     padded [B, L] batch, as one node.
 
     q, k and v are the packed projections [rows.count, d] of rows' real
     positions; d splits into heads of d // heads features. Each is padded to
     [B, heads, L, d // heads] with zeros at padding. Query row i attends with
-    softmax(q k^T / sqrt(d // heads) + key_bias) over the keys, where
-    key_bias [B, L] is a constant added to every score of that key: a large
-    negative entry gives its key probability 0. The context is packed again.
+    softmax(q k^T / sqrt(d // heads)) over the real keys of its sentence;
+    padding keys get probability 0. Returns the context [rows.count, d],
+    packed again.
 
-    Returns (context [rows.count, d], probabilities [B, heads, L, L]); the
-    probabilities are a plain array outside the graph. The backward is
-    written out by hand and keeps the padded q, k, v and the probabilities.
+    q is scaled by 1 / sqrt(d // heads) on its packed rows. When a bound on
+    the scores' size proves it safe (:func:`_unshifted_softmax_is_safe`;
+    a bound below about 352 in float64, 41 in float32), the softmax streams
+    each [L, L] score array twice: exp of the scores as they are, with no
+    row-max shift, then one product with v widened by a column that is 1 at
+    real keys, which yields the unnormalised context and the row sums
+    together; the context is divided by its row sums afterwards. Otherwise
+    the node shifts each row by its maximum, with a large negative score at
+    padding keys, and normalises before the product with v, as
+    softmax(q k^T / sqrt(d // heads)) is usually written. The backward is
+    written out by hand and keeps the padded q, k, v and the probabilities,
+    which are formed only when the node records a graph.
     """
     B, L = rows.shape
     d = q.data.shape[-1]
@@ -333,40 +350,92 @@ def attention(q: Tensor, k: Tensor, v: Tensor, rows: Rows, heads: int,
     for t in (q, k, v):
         if t.data.shape != (rows.count, d):
             raise ValueError(f"attention needs q, k, v of shape {(rows.count, d)}, got {t.data.shape}")
-    key_bias = np.asarray(key_bias)
-    if key_bias.shape != rows.shape:
-        raise ValueError(f"key_bias must be [B, L] = {rows.shape}, got {key_bias.shape}")
     dk = d // heads
     scale = 1.0 / math.sqrt(dk)
 
     def split(a):  # real rows [count, d] -> [B, heads, L, dk], a strided view
         return rows.unpack(a).reshape(B, L, heads, dk).transpose(0, 2, 1, 3)
 
-    def merge(a):  # [B, heads, L, dk] -> real rows [count, d], a new array
-        return a.transpose(0, 2, 1, 3)[rows.valid].reshape(rows.count, d)
+    def merge(a):  # [B, heads, L, f] -> real rows [count, heads * f], a new array
+        return a.transpose(0, 2, 1, 3)[rows.valid].reshape(rows.count, heads * a.shape[-1])
 
-    q4, k4, v4 = split(q.data), split(k.data), split(v.data)
-    # the probabilities are computed in place in the score buffer
-    p = np.matmul(q4, k4.swapaxes(-1, -2))
-    p *= scale
-    p += key_bias[:, None, None, :]
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out = _node(merge(np.matmul(p, v4)), (q, k, v))
+    qs = q.data * scale  # exact when dk is a power of 4
+    q4, k4 = split(qs), split(k.data)
+    if _unshifted_softmax_is_safe(qs, k.data, v.data, heads, L):
+        # k and v are zero at padding keys, so there exp(0) = 1 adds nothing
+        # to exp(S) @ v, and v's extra column sums only the real keys
+        vm = np.empty((B, L, heads, dk + 1), dtype=v.data.dtype)
+        vm[..., :dk] = rows.unpack(v.data).reshape(B, L, heads, dk)
+        vm[..., dk] = rows.valid[:, :, None]
+        vm = vm.transpose(0, 2, 1, 3)
+        v4 = vm[..., :dk]
+        p = np.matmul(q4, k4.swapaxes(-1, -2))
+        np.exp(p, out=p)
+        ctx_sum = np.matmul(p, vm)
+        real = merge(ctx_sum).reshape(rows.count, heads, dk + 1)
+        ctx = (real[..., :dk] / real[..., dk:]).reshape(rows.count, d)
+        row_sum = ctx_sum[..., dk:]
+    else:
+        # the row-max shift, with a large negative score at padding keys
+        v4 = split(v.data)
+        p = np.matmul(split(q.data), k4.swapaxes(-1, -2))
+        p *= scale
+        if rows.index is not None:
+            p += np.where(rows.valid, 0.0, _MASKED_SCORE).astype(p.dtype)[:, None, None, :]
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        ctx = merge(np.matmul(p, v4))
+        row_sum = None
+    out = _node(ctx, (q, k, v))
     if out._parents:
+        if row_sum is not None:
+            # the probabilities. At a padding key they are exp(0) / row sum,
+            # not 0, but k and v are zero there, so they add nothing to a
+            # real row's gradient. A sentence with no real token has row sums
+            # of 0 at its padding rows, whose probabilities nothing reads.
+            p /= np.where(row_sum > 0, row_sum, 1.0)
+
         def back():
             g4 = split(out.grad)
             gv = np.matmul(p.swapaxes(-1, -2), g4)
             gs = np.matmul(g4, v4.swapaxes(-1, -2))  # d loss / d p, then / d scores
             np.subtract(gs, (gs * p).sum(axis=-1, keepdims=True), out=gs)
             gs *= p
-            gs *= scale
-            q._accum(merge(np.matmul(gs, k4)), owned=True)
+            q._accum(merge(np.matmul(gs, k4)) * scale, owned=True)
             k._accum(merge(np.matmul(q4.swapaxes(-1, -2), gs).swapaxes(-1, -2)), owned=True)
             v._accum(merge(gv), owned=True)
         out._backward = back
-    return out, p
+    return out
+
+
+def _unshifted_softmax_is_safe(qs, k, v, heads: int, length: int) -> bool:
+    """Whether exp of the scores qs k^T, unshifted, stays in range.
+
+    qs, k and v are the packed [count, d] rows (qs already scaled) of a batch
+    whose sentences pad to length keys. Per head, |score| <= M, the product
+    of the largest query and key norms, so each exp lies in [e^-M, e^M].
+    With n = length + 1 (the extra key leaves room for the rounding of the
+    norms, the scores and exp), the unshifted path needs
+      e^M * n * max(1, max|v|) finite: every exp, row sum and entry of
+        exp(S) @ [v | 1];
+      e^-M / (n * e^M) a normal number: every probability, so also every
+        exp and row sum, with no subnormal and no row sum of 0 at a real row.
+    In float64 with length 128 the second caps M at about 352, in float32
+    at about 41.
+    """
+    if qs.shape[0] == 0:
+        return True
+    fi = np.finfo(qs.dtype)
+    q3, k3 = qs.reshape(qs.shape[0], heads, -1), k.reshape(k.shape[0], heads, -1)
+    sq_bound = float(np.multiply(np.einsum("nhc,nhc->nh", q3, q3).max(axis=0),
+                                 np.einsum("nhc,nhc->nh", k3, k3).max(axis=0),
+                                 dtype=np.float64).max())
+    v_max = max(float(v.max()), -float(v.min()), 1.0)
+    n = length + 1
+    limit = min(math.log(fi.max) - math.log(n * v_max),
+                (-math.log(fi.tiny) - math.log(n)) / 2)
+    return math.sqrt(sq_bound) < limit
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None,

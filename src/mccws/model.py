@@ -24,16 +24,17 @@ from .autodiff import (
 )
 from .errors import ConfigError, DataError
 
-NEG_INF = -1e9
 # predict grows a batch only while its [B, H, L+1, L+1] attention-score array
-# has at most this many cells. The attention node streams that array several
-# times, so a batch whose array outgrows a core's L2 cache
-# (2 MiB, i.e. 2^18 float64 cells, on the 2-vCPU Xeon it was sized on) waits
-# on memory. On the benchmark's 4-120-token eval lines (4 heads, batch 64,
-# one BLAS thread, heap held by autodiff's heap policy), predict ran 861, 896,
-# 872, 844 and 775 sent/s at 2^16 to 2^20 cells (medians of 40 in-process
-# rounds). 2^17 beat 2^18 in 23 of 30 paired rounds, twice, by 2-3%, inside
-# 2^18's own quartile spread, so the cap stays at 2^18.
+# has at most this many cells. The attention node writes that array, takes
+# its exp in place and reads it again for the product with v, so a batch
+# whose array outgrows a core's L2 cache (2 MiB, i.e. 2^18 float64 cells, on
+# the 2-vCPU Xeon it was sized on) waits on memory. On the benchmark's
+# 4-120-token eval lines (seed 4242, 4 heads, batch 64, one pinned CPU, one
+# BLAS thread, heap held by autodiff's heap policy), predict ran 462, 511,
+# 516, 485 and 451 sent/s at 2^16 to 2^20 cells (medians of 40 in-process
+# rounds, on a slower day of the host than earlier sizings). 2^17 beat 2^18
+# in 22 of 40 rounds and every other size in at most 5, so the cap stays at
+# 2^18.
 SCORE_CELLS = 1 << 18
 # predict also stops a batch at this many sentences. With SCORE_CELLS as the
 # only limit, short sentences batch by the hundred and run slower: perfbench's
@@ -191,8 +192,7 @@ class Model:
         [N, d_h]."""
         p = self.params
         q, k, v = (linear(x, p[f"{prefix}.w{n}"], p[f"{prefix}.b{n}"]) for n in "qkv")
-        key_bias = np.where(rows.valid, 0.0, NEG_INF).astype(x.data.dtype)
-        ctx, _ = attention(q, k, v, rows, self.config.heads, key_bias)
+        ctx = attention(q, k, v, rows, self.config.heads)
         return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
     def _drop(self, x: Tensor, rows: Rows, training: bool, rng) -> Tensor:

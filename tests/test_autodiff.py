@@ -34,8 +34,7 @@ def test_matmul_stacked_and_broadcast_grad():
     c = parameter(make_rng(2).normal(size=3))
 
     def loss():
-        ctx, _ = attention(*qkv, rows, 2, key_bias_of(valid))
-        return linear(ctx, w, c).tanh().sum()
+        return linear(attention(*qkv, rows, 2), w, c).tanh().sum()
 
     backward(loss())
     assert_grads_match(lambda: loss().item(), qkv + [w, c])
@@ -104,7 +103,7 @@ def test_matmul_non_contiguous_operands_grad():
 
     def loss():
         flat = linear(x, w)  # [3, 4] @ [4, 5]
-        ctx, _ = attention(q, k, v, rows, 2, key_bias_of(PADDED_VALID))
+        ctx = attention(q, k, v, rows, 2)
         return (flat * flat).sum() + (ctx * ctx).sum()
 
     assert not any(t.data.flags.c_contiguous for t in (x, w, q, k))
@@ -116,38 +115,54 @@ def test_matmul_non_contiguous_operands_grad():
 # -- softmax: attention's probabilities ---------------------------------------------
 
 def test_softmax_uniform():
-    # equal scores over four real keys
+    # q = k = 0: equal scores over four real keys, so the context is v's mean
     rows = Rows(np.ones((1, 4), dtype=bool))
     zeros = Tensor(np.zeros((4, 2)))
-    _, p = attention(zeros, zeros, zeros, rows, 1, np.zeros((1, 4)))
+    v = Tensor(np.arange(8.0).reshape(4, 2))
+    ctx, p = attend(zeros, zeros, v, rows, 1)
     assert np.allclose(p, 0.25, atol=1e-15)
+    assert np.allclose(ctx.data, v.data.mean(axis=0), atol=1e-15)
 
 
 def test_softmax_reference_values():
-    # scores 1, 2, 3 (the key bias alone); frozen from direct exp/sum evaluation
+    # q and k that score 1, 2, 3 (q . k / sqrt(4)); frozen from direct exp/sum
+    # evaluation. v's rows are unit vectors, so each context row repeats its
+    # probabilities.
     rows = Rows(np.ones((1, 3), dtype=bool))
-    zeros = Tensor(np.zeros((3, 2)))
-    _, p = attention(zeros, zeros, zeros, rows, 1, np.array([[1.0, 2.0, 3.0]]))
-    assert np.allclose(p, [0.09003057, 0.24472847, 0.66524096], atol=1e-5)
+    q = Tensor(np.tile([2.0, 0.0, 0.0, 0.0], (3, 1)))
+    k = Tensor(np.array([[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0]]))
+    ctx, p = attend(q, k, Tensor(np.eye(3, 4)), rows, 1)
+    expected = [0.09003057, 0.24472847, 0.66524096]
+    assert np.allclose(p, expected, atol=1e-5)
+    assert np.allclose(ctx.data, expected + [0.0], atol=1e-5)
 
 
 def test_softmax_large_inputs_stable():
-    # attention's softmax over scores of 1000 and 0: finite, one-hot on 1000
+    # q and k that score 1000 and 0 (one head of one feature, so no scaling):
+    # too large for the unshifted softmax, so the node shifts each row by its
+    # maximum and matches the reference bit for bit; finite, one-hot on 1000
     rows = Rows(np.ones((1, 2), dtype=bool))
-    zeros = Tensor(np.zeros((2, 2)))
-    _, p = attention(zeros, zeros, zeros, rows, 1, np.array([[1000.0, 0.0]]))
+    q, k, v = Tensor([[1000.0], [1000.0]]), Tensor([[1.0], [0.0]]), Tensor([[1.0], [-1.0]])
+    assert not unshifted(q, k, v, 1, 2)
+    ctx, p = attend(q, k, v, rows, 1)
     assert np.isfinite(p).all()
     assert (p[..., 0] > 1 - 1e-12).all() and (p[..., 1] < 1e-12).all()
+    assert np.array_equal(ctx.data, reference.attention(q.data, k.data, v.data, rows.valid, 1)[0])
+    assert np.array_equal(ctx.data, v.data[[0, 0]])
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariant():
-    # a constant added to every key's bias leaves the probabilities as they are
-    rows, qkv = attention_inputs(1, PADDED_VALID)
-    bias = key_bias_of(PADDED_VALID)
-    _, p = attention(*qkv, rows, 2, bias)
-    _, p_shift = attention(*qkv, rows, 2, bias + 123.456)
+    # one vector u added to every real key adds q_i . u / sqrt(dk) to every
+    # score of query row i, which leaves its probabilities as they are; with
+    # shifts of up to about 100 the node still takes its unshifted path
+    rows, (q, k, v) = attention_inputs(1, PADDED_VALID)
+    k_shift = Tensor(k.data + [20.0, -20.0, 20.0, 20.0])
+    assert unshifted(q, k_shift, v, 2, 4)
+    ctx, p = attend(q, k, v, rows, 2)
+    ctx_shift, p_shift = attend(q, k_shift, v, rows, 2)
     assert np.abs(p.sum(axis=-1) - 1.0).max() < 1e-12
     assert np.abs(p - p_shift).max() < 1e-12
+    assert np.abs(ctx.data - ctx_shift.data).max() < 1e-12
 
 
 def test_softmax_grad():
@@ -158,7 +173,7 @@ def test_softmax_grad():
     w = Tensor(rng.normal(size=(rows.count, 4)))
 
     def loss():
-        return (attention(q, k, v, rows, 2, key_bias_of(PADDED_VALID))[0] * w).sum()
+        return (attention(q, k, v, rows, 2) * w).sum()
 
     backward(loss())
     assert_grads_match(lambda: loss().item(), [q, k])
@@ -362,27 +377,61 @@ def attention_inputs(seed, valid, d=4, dtype=np.float64):
                   for _ in range(3)]
 
 
-def key_bias_of(valid, dtype=np.float64):
-    return np.where(valid, 0.0, -1e9).astype(dtype)
+def attend(q, k, v, rows, heads):
+    """The node's context and the reference's probabilities for the same
+    inputs. The context must match the reference's to rounding: within
+    1e-12 (float64) or 1e-5 (float32) of max(1, max|v|), a bound on its
+    entries."""
+    ctx = attention(q, k, v, rows, heads)
+    ref_ctx, p = reference.attention(q.data, k.data, v.data, rows.valid, heads)
+    tol = 1e-12 if q.data.dtype == np.float64 else 1e-5
+    assert np.abs(ctx.data - ref_ctx).max() <= tol * max(1.0, np.abs(v.data).max())
+    return ctx, p
+
+
+def unshifted(q, k, v, heads, length):
+    """Whether the node takes its unshifted softmax for these inputs."""
+    dk = q.data.shape[1] // heads
+    return ad._unshifted_softmax_is_safe(q.data * (1.0 / math.sqrt(dk)), k.data, v.data,
+                                         heads, length)
 
 
 @pytest.mark.parametrize("valid", [PADDED_VALID, np.ones((2, 3), dtype=bool)],
                          ids=["padded", "dense"])
 def test_attention_equals_composite(valid):
-    # the float64 context and probabilities are bit-identical to the numpy
-    # composition of the steps attention fuses; the gradients match finite
+    # the float64 context matches the numpy composition of the steps the node
+    # fuses, to rounding on the unshifted path that these inputs take (the
+    # shifted path is bit-equal, test below); the gradients match finite
     # differences of that composition
     rows, qkv = attention_inputs(20, valid)
     w = make_rng(21).normal(size=(rows.count, 4))
-    bias = key_bias_of(valid)
 
     def ref():
-        return reference.attention(*(t.data for t in qkv), valid, 2, bias)
+        return reference.attention(*(t.data for t in qkv), valid, 2)
 
-    ctx, p = attention(*qkv, rows, 2, bias)
-    ref_ctx, ref_p = ref()
-    assert np.array_equal(ctx.data, ref_ctx)
-    assert np.array_equal(p, ref_p)
+    assert unshifted(*qkv, 2, valid.shape[1])
+    ctx = attention(*qkv, rows, 2)
+    assert np.abs(ctx.data - ref()[0]).max() <= 1e-12 * np.abs(qkv[2].data).max()
+    backward((ctx * Tensor(w)).sum())
+    assert_grads_match(lambda: float((ref()[0] * w).sum()), qkv)
+    assert_no_shared_grads(qkv)
+
+
+@pytest.mark.parametrize("valid", [PADDED_VALID, np.ones((2, 3), dtype=bool)],
+                         ids=["padded", "dense"])
+def test_attention_shifted_path_equals_composite(valid, monkeypatch):
+    # with the unshifted softmax ruled out, the node runs the reference's
+    # steps and its context is bit-identical to it; the gradients match
+    # finite differences of the reference
+    monkeypatch.setattr(ad, "_unshifted_softmax_is_safe", lambda *args: False)
+    rows, qkv = attention_inputs(20, valid)
+    w = make_rng(21).normal(size=(rows.count, 4))
+
+    def ref():
+        return reference.attention(*(t.data for t in qkv), valid, 2)
+
+    ctx = attention(*qkv, rows, 2)
+    assert np.array_equal(ctx.data, ref()[0])
     backward((ctx * Tensor(w)).sum())
     assert_grads_match(lambda: float((ref()[0] * w).sum()), qkv)
     assert_no_shared_grads(qkv)
@@ -395,10 +444,78 @@ def test_attention_grad(valid):
     w = Tensor(make_rng(23).normal(size=(rows.count, 4)))
 
     def loss():
-        return (attention(*qkv, rows, 2, key_bias_of(valid))[0] * w).sum()
+        return (attention(*qkv, rows, 2) * w).sum()
 
+    assert unshifted(*qkv, 2, valid.shape[1])
     backward(loss())
     assert_grads_match(lambda: loss().item(), qkv)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("valid", [PADDED_VALID, np.ones((2, 3), dtype=bool)],
+                         ids=["padded", "dense"])
+def test_unshifted_attention_matches_reference(valid, dtype):
+    # PADDED_VALID's third sentence has no real token, so its padding rows
+    # have no real key: they must not turn into 0/0 (warnings are errors),
+    # neither in the context nor in the probabilities the backward keeps
+    rows, qkv = attention_inputs(27, valid, d=8, dtype=dtype)
+    assert unshifted(*qkv, 2, valid.shape[1])
+    ctx, _ = attend(*qkv, rows, 2)
+    assert ctx.data.dtype == np.dtype(dtype)
+    backward(ctx.sum())
+    assert all(np.isfinite(t.grad).all() and t.grad.dtype == np.dtype(dtype) for t in qkv)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_unshifted_attention_at_its_limit(dtype):
+    # one sentence of 128 real tokens (the default max_len) with one head
+    # whose scores reach the norm bound M from both sides: key 0 scores -M
+    # against every query and the others +M, which makes the row sums nearly
+    # as large, and key 0's probability nearly as small, as M allows. At the
+    # largest M that takes the unshifted path, nothing overflows, no exp or
+    # probability is subnormal (underflow raises), and no NaN appears.
+    length, d = 128, 4
+    rows = Rows(np.ones((1, length), dtype=bool))
+    sign = np.where(np.arange(length) == 0, -1.0, 1.0)
+
+    def inputs(m):  # q . k / sqrt(4) = +-m, with |q| = 2 sqrt(m) and |k| = sqrt(m)
+        q = np.zeros((length, d), dtype=dtype)
+        k = np.zeros((length, d), dtype=dtype)
+        q[:, 0] = 2.0 * math.sqrt(m)
+        k[:, 0] = sign * math.sqrt(m)
+        v = (np.arange(length * d).reshape(length, d) % 3 - 1.0).astype(dtype)
+        return [parameter(a) for a in (q, k, v)]
+
+    lo, hi = 1.0, 1000.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if unshifted(*inputs(mid), 1, length) else (lo, mid)
+    # about half the exponent range: (-log(tiny) - log(length + 1)) / 2
+    assert (351.0 < lo < 353.0) if dtype == "float64" else (40.5 < lo < 42.0)
+    qkv = inputs(lo)
+    with np.errstate(all="raise"):
+        ctx = attention(*qkv, rows, 1)
+    ref_ctx, p = reference.attention(*(t.data for t in qkv), rows.valid, 1)
+    assert p[0, 0, 0, 0] > 0.0 and np.isfinite(ctx.data).all()
+    tol = 1e-12 if dtype == "float64" else 1e-5
+    assert np.abs(ctx.data - ref_ctx).max() <= tol
+    backward(ctx.sum())
+    assert all(np.isfinite(t.grad).all() for t in qkv)
+
+
+def test_attention_large_v_takes_shifted_path():
+    # scores of about 5 are safe to exponentiate, but with |v| near 1e37 the
+    # unnormalised float32 product exp(S) @ v would overflow; the node's
+    # bound counts max|v|, so it shifts instead and matches the reference
+    rows = Rows(np.ones((1, 4), dtype=bool))
+    q = Tensor(np.full((4, 2), math.sqrt(5.0), dtype=np.float32))
+    k = Tensor(np.full((4, 2), math.sqrt(2.5), dtype=np.float32))
+    v = Tensor(np.array([[1e37, -1e37], [2e37, 1e37], [-2e37, 1e36], [1e37, 1e37]],
+                        dtype=np.float32))
+    assert not unshifted(q, k, v, 1, 4)
+    ctx = attention(q, k, v, rows, 1)
+    assert np.isfinite(ctx.data).all()
+    assert np.array_equal(ctx.data, reference.attention(q.data, k.data, v.data, rows.valid, 1)[0])
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -406,26 +523,32 @@ def test_attention_masked_keys_get_zero(dtype):
     # sentence 0 has three real keys, sentence 1 only key 0, its criterion token
     valid = np.array([[True, True, True, False, False],
                       [True, False, False, False, False]])
-    every = np.ones((2, 5), dtype=bool)
-    rows, qkv = attention_inputs(24, every, d=6, dtype=dtype)
-    bias = key_bias_of(valid, dtype) * 4.0
-    _, y = attention(*qkv, rows, 3, bias)
-    _, ref = reference.attention(*(t.data for t in qkv), every, 3, bias)
-    assert y.dtype == np.dtype(dtype)
-    assert np.array_equal(y, ref)
+    rows, qkv = attention_inputs(24, valid, d=6, dtype=dtype)
+    ctx, y = attend(*qkv, rows, 3)
+    assert y.dtype == ctx.data.dtype == np.dtype(dtype)
     assert (y[0, ..., 3:] == 0.0).all() and (y[0, ..., :3] > 0.0).all()
     assert np.abs(y.sum(axis=-1) - 1.0).max() < 1e-6
-    # only the criterion token is a real key: every row is one-hot on it
+    # only the criterion token is a real key: every row is one-hot on it,
+    # so sentence 1's one real row passes v's row through
     assert (y[1, ..., 0] == 1.0).all() and (y[1, ..., 1:] == 0.0).all()
+    assert np.allclose(ctx.data[3], qkv[2].data[3], rtol=1e-6, atol=0.0)
 
 
 def test_attention_rejects_mask_that_grows_scores():
+    # rows is the key mask; one whose real rows are not q, k and v's is refused
     rows, qkv = attention_inputs(25, PADDED_VALID)
-    for shape in [(3, 4, 4), (3, 1, 4), (3, 5), (1, 4)]:
-        with pytest.raises(ValueError, match="key_bias"):
-            attention(*qkv, rows, 2, np.zeros(shape))
+    for valid in [np.ones((3, 4), dtype=bool), np.ones((3, 5), dtype=bool),
+                  np.ones((1, 4), dtype=bool)]:
+        with pytest.raises(ValueError, match="attention needs"):
+            attention(*qkv, Rows(valid), 2)
+    for i in range(3):
+        for shape in [(rows.count + 1, 4), (rows.count, 1, 4), (1, 4)]:
+            bad = list(qkv)
+            bad[i] = Tensor(np.zeros(shape))
+            with pytest.raises(ValueError, match="attention needs"):
+                attention(*bad, rows, 2)
     with pytest.raises(ValueError, match="heads"):
-        attention(*qkv, rows, 3, key_bias_of(PADDED_VALID))
+        attention(*qkv, rows, 3)
 
 
 def test_linear_and_attention_keep_float32():
@@ -434,7 +557,7 @@ def test_linear_and_attention_keep_float32():
         rows, (x, _, _) = attention_inputs(26, valid, dtype=f32)
         w, b = parameter(np.eye(4, dtype=f32)), parameter(np.ones(4, dtype=f32))
         y = linear(x, w, b)
-        ctx, p = attention(y, x, y, rows, 2, key_bias_of(valid, f32))
+        ctx, p = attend(y, x, y, rows, 2)
         assert y.data.dtype == ctx.data.dtype == p.dtype == f32
         backward(ctx.sum())
         assert x.grad.dtype == w.grad.dtype == b.grad.dtype == f32
@@ -596,8 +719,6 @@ def every_op_graph(seed):
     targets = rng.integers(0, 6, size=5)
     rows = Rows(PADDED_VALID)
     dense = Rows(np.ones((5, 1), dtype=bool))
-    key_bias = np.where(PADDED_VALID, 0.0, -1e9)
-    key_bias[1, 2] = -1e9  # a real key masked too
 
     def loss():
         h = embedding_lookup(table, ids)
@@ -605,7 +726,7 @@ def every_op_graph(seed):
         h = gate * linear(h, w, b) + (1.0 - gate) * h  # the fusion gate's blend
         h = layer_norm(h.tanh() + h.relu(), g, bias)
         h = h * gather_rows(padded, rows)
-        h, _ = attention(linear(h, wq), h, h + h, rows, 2, key_bias)
+        h = attention(linear(h, wq), h, h + h, rows, 2)
         h = dropout(h + bias, 0.25, True, make_rng(seed), rows)
         h = h * gather_rows(whole, dense)
         return cross_entropy(h, targets) + (h * h).sum() * 0.5

@@ -21,6 +21,7 @@ from mccws.trainer import prepare_for_eval, prepare_for_training
 
 from faultutil import minor_faults, needs_mallopt
 from gradutil import assert_grads_match
+import reference
 from reference import softmax
 
 
@@ -71,13 +72,18 @@ def forward_stages(m, ids, bi, lengths):
 
 def record_attention(monkeypatch) -> list[np.ndarray]:
     """Wrap the attention node the model calls; the returned list gets each
-    call's probabilities [B, heads, L', L'], in call order."""
+    call's probabilities [B, heads, L', L'], in call order, as the reference
+    computes them from the call's q, k and v. Each call's context must match
+    the reference's to rounding."""
     probs = []
 
-    def recording(*args):
-        ctx, p = ad.attention(*args)
+    def recording(q, k, v, rows, heads):
+        ctx = ad.attention(q, k, v, rows, heads)
+        ref_ctx, p = reference.attention(q.data, k.data, v.data, rows.valid, heads)
+        tol = 1e-12 if ctx.data.dtype == np.float64 else 1e-5
+        assert np.abs(ctx.data - ref_ctx).max() <= tol * max(1.0, np.abs(v.data).max())
         probs.append(p)
-        return ctx, p
+        return ctx
 
     monkeypatch.setattr(model_mod, "attention", recording)
     return probs
