@@ -124,29 +124,21 @@ class Tensor:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
+        """other is a scalar or a tensor of self's shape; biases go through linear."""
         if not isinstance(other, Tensor):
             out = _node(self.data + other, (self,))
             if out._parents:
                 out._backward = lambda: self._accum(out.grad, owned=True)
             return out
-        if self.data.shape == other.data.shape:
-            out = _node(self.data + other.data, (self, other))
-            if out._parents:
-                def back():
-                    self._accum(out.grad, owned=True)
-                    other._accum(out.grad)
-                out._backward = back
-            return out
-        # the only supported broadcast: a bias vector added over rows
-        if other.data.ndim == 1 and self.data.shape[-1:] == other.data.shape:
-            out = _node(self.data + other.data, (self, other))
-            if out._parents:
-                def back():
-                    other._accum(out.grad.reshape(-1, other.data.shape[0]).sum(axis=0), owned=True)
-                    self._accum(out.grad, owned=True)
-                out._backward = back
-            return out
-        raise ValueError(f"add shape mismatch: {self.data.shape} vs {other.data.shape}")
+        if self.data.shape != other.data.shape:
+            raise ValueError(f"add shape mismatch: {self.data.shape} vs {other.data.shape}")
+        out = _node(self.data + other.data, (self, other))
+        if out._parents:
+            def back():
+                self._accum(out.grad, owned=True)
+                other._accum(out.grad)
+            out._backward = back
+        return out
 
     def __neg__(self):
         out = _node(-self.data, (self,))

@@ -114,7 +114,7 @@ def param_shapes(config: ModelConfig, n_unigrams: int, n_bigrams: int) -> dict[s
     def attn_block(prefix):
         for w in ("wq", "wk", "wv", "wo"):
             shapes[f"{prefix}.{w}"] = (d_h, d_h)
-        for b in ("bq", "bk", "bv", "bo"):
+        for b in ("bq", "bv", "bo"):
             shapes[f"{prefix}.{b}"] = (d_h,)
     for i in range(config.encoder_layers):
         attn_block(f"enc{i}.attn")
@@ -191,7 +191,10 @@ class Model:
         context again, and the output projection. Returns the output
         [N, d_h]."""
         p = self.params
-        q, k, v = (linear(x, p[f"{prefix}.w{n}"], p[f"{prefix}.b{n}"]) for n in "qkv")
+        q = linear(x, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
+        # no K bias: it adds q_i . b to all of row i's scores, which softmax ignores
+        k = linear(x, p[f"{prefix}.wk"])
+        v = linear(x, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
         ctx = attention(q, k, v, rows, self.config.heads)
         return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
@@ -240,7 +243,7 @@ class Model:
         if e is None:
             raise ConfigError("bigram embeddings required when use_bigram is set")
         e_proj = linear(e, p["fuse.w_e"], p["fuse.b_e"]).tanh()
-        gate = (linear(h, p["fuse.w_fh"]) + linear(e, p["fuse.w_fe"]) + p["fuse.b_f"]).sigmoid()
+        gate = (linear(h, p["fuse.w_fh"], p["fuse.b_f"]) + linear(e, p["fuse.w_fe"])).sigmoid()
         return gate * h_proj + (1.0 - gate) * e_proj
 
     # -- contextualizer -------------------------------------------------------------

@@ -576,6 +576,24 @@ def test_legacy_checkpoint_loads(trained, tmp_path):
         load_checkpoint(tmp_path / "legacy5.ckpt", vocab)
 
 
+def test_checkpoint_with_an_attention_key_bias_is_refused(trained, tmp_path):
+    # files written while attention blocks still had a key bias carry *.attn.bk
+    d = trained
+
+    def edit(header):  # the trained fixture's d_h is 32
+        header["arrays"].append({"name": "enc0.attn.bk", "shape": [32], "dtype": "<f8"})
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(edit_header((d / "model.ckpt").read_bytes(), edit)
+                    + np.zeros(32, dtype="<f8").tobytes())
+    (tmp_path / "in.txt").write_text("李娜\n", encoding="utf-8")
+    for command, args in (("segment", ["--criterion", "ctb", "--input", str(tmp_path / "in.txt")]),
+                          ("evaluate", ["--gold", f"ctb={d / 'ctb.txt'}"])):
+        proc = run_cli(command, "--checkpoint", str(old), "--vocab", str(d / "vocab.txt"), *args,
+                       expect=3)
+        assert "extra=['enc0.attn.bk']" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
 
 def test_float32_checkpoint_round_trips_and_runs(trained, tmp_path):
     # a model whose parameters are float32 saves as <f4, loads back bit-equal
