@@ -16,9 +16,10 @@ underflow, which makes it agree with the textbook composition to rounding
 rather than bit for bit.
 
 Precision is that of the data: a Tensor keeps float32 data as float32 and
-makes anything else float64 (gradient checks need the headroom), and every
-op keeps its inputs' dtype. A float32 model is one whose parameters are
-float32.
+makes anything else float64, and every op keeps its inputs' dtype. A model
+is float32 or float64 as its parameters are. New models are float32
+(``model.init_params``); float64 serves gradient checks, which need the
+headroom, and checkpoints written in float64.
 
 All randomness (dropout masks, initialization) must come from generators
 made by :func:`make_rng`, which is PCG64 under a fixed seed, so runs are

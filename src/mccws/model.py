@@ -34,7 +34,8 @@ from .errors import ConfigError, DataError
 # 516, 485 and 451 sent/s at 2^16 to 2^20 cells (medians of 40 in-process
 # rounds, on a slower day of the host than earlier sizings). 2^17 beat 2^18
 # in 22 of 40 rounds and every other size in at most 5, so the cap stays at
-# 2^18.
+# 2^18. Those sizings ran a float64 model; a float32 model's score array
+# takes half the bytes per cell, and the cap has not been measured for it.
 SCORE_CELLS = 1 << 18
 # predict also stops a batch at this many sentences. With SCORE_CELLS as the
 # only limit, short sentences batch by the hundred and run slower: perfbench's
@@ -148,7 +149,12 @@ def param_shapes(config: ModelConfig, n_unigrams: int, n_bigrams: int) -> dict[s
 def init_params(config: ModelConfig, n_unigrams: int, n_bigrams: int,
                 rng: np.random.Generator) -> dict[str, Tensor]:
     """Truncated-normal (std 0.02, clipped at 2 sigma) for matrices and
-    embeddings, ones for layer-norm gains, zeros for every bias."""
+    embeddings, ones for layer-norm gains, zeros for every bias.
+
+    Values are drawn in float64 and stored as float32, so a new model
+    trains and predicts in float32 (precision is that of the parameters,
+    see autodiff). Casting the parameters to float64 gives a float64 model,
+    as gradient checks need."""
     params: dict[str, Tensor] = {}
     for name, shape in param_shapes(config, n_unigrams, n_bigrams).items():
         if name.endswith(".gain"):
@@ -157,7 +163,7 @@ def init_params(config: ModelConfig, n_unigrams: int, n_bigrams: int,
             data = np.clip(rng.normal(0.0, 0.02, size=shape), -0.04, 0.04)
         else:
             data = np.zeros(shape)
-        params[name] = parameter(data)
+        params[name] = parameter(data.astype(np.float32))
     return params
 
 

@@ -2,12 +2,21 @@
 
 Central differences with step h, applied directly to parameter storage while
 re-running a caller-supplied loss closure; completely independent of the
-backward tape it is used to check.
+backward tape it is used to check. The checks run in float64 (cast_params).
 """
 
 import numpy as np
 
 from mccws import autodiff
+
+
+def cast_params(model, dtype=np.float64):
+    """Cast a model's parameters to dtype in place and return the model.
+    Models are built in float32; float64 gives gradient checks and tight
+    tolerances their headroom."""
+    for p in model.params.values():
+        p.data = p.data.astype(dtype)
+    return model
 
 
 def finite_diff(loss_fn, params, h: float = 1e-5):

@@ -18,7 +18,7 @@ from mccws.model import Model, ModelConfig, pack_batch
 from mccws.optim import AdamW, WarmupLinearSchedule
 from mccws.synth import SyntheticSpec, boundary_disagreement, generate_synthetic
 
-from gradutil import finite_diff, max_violation
+from gradutil import cast_params, finite_diff, max_violation
 from scoreutil import oracle_f1
 
 
@@ -46,7 +46,7 @@ def test_criterion_1_gradient_fidelity():
                  ["进入", "半", "决"]]
     worst = 0.0
     for seed in range(5):
-        model = Model.for_vocab(config, vocab, seed=seed)
+        model = cast_params(Model.for_vocab(config, vocab, seed=seed))
         sents = [prepare_sentence(RawSentence(word_pool[seed % len(word_pool)], 0), vocab),
                  prepare_sentence(RawSentence(word_pool[(seed + 2) % len(word_pool)], 1), vocab)]
         assert all(len(s) <= 6 for s in sents)
@@ -280,10 +280,10 @@ def test_criterion_9_determinism(tmp_path):
         train_sents += tr.prepare_for_training(corpora[n]["train"], vocab, 128)
         dev_sents += tr.prepare_for_eval(corpora[n]["dev"], vocab, 128)
 
-    def run(tag):
+    def run(tag, dtype):
         config = ModelConfig(num_criteria=2, d_h=32, d_e=16, encoder_layers=1, heads=2,
                              d_ff=64, max_len=64)
-        model = Model.for_vocab(config, vocab, seed=13)
+        model = cast_params(Model.for_vocab(config, vocab, seed=13), dtype)
         cfg = tr.TrainConfig(epochs=3, batch_size=32, seed=13, lr=1e-3)
         result = tr.train(model, vocab, train_sents, dev_sents, cfg)
         path = tmp_path / f"{tag}.ckpt"
@@ -295,8 +295,12 @@ def test_criterion_9_determinism(tmp_path):
                 fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
         return path.read_bytes(), log.read_bytes()
 
-    ckpt_a, log_a = run("a")
-    ckpt_b, log_b = run("b")
-    assert ckpt_a == ckpt_b, "checkpoints differ between identical runs"
-    assert log_a == log_b, "metrics logs differ between identical runs"
-    ok("criterion 9: identical runs produce bit-identical checkpoints and metrics logs")
+    # float32 is the precision models are built in; float64 is the cast one
+    for dtype in (np.float32, np.float64):
+        name = np.dtype(dtype).name
+        ckpt_a, log_a = run(f"{name}_a", dtype)
+        ckpt_b, log_b = run(f"{name}_b", dtype)
+        assert ckpt_a == ckpt_b, f"{name} checkpoints differ between identical runs"
+        assert log_a == log_b, f"{name} metrics logs differ between identical runs"
+    ok("criterion 9: identical runs produce bit-identical checkpoints and metrics logs "
+       "in float32 and in float64")

@@ -15,6 +15,9 @@ from mccws import corpus as cp
 from mccws.checkpoint import MAGIC, load_checkpoint, read_checkpoint, save_checkpoint
 from mccws.corpus import RawSentence, Vocab
 from mccws.errors import DataError
+from mccws.model import Model, ModelConfig
+
+from gradutil import cast_params
 
 CLI = [sys.executable, "-m", "mccws.cli"]
 
@@ -45,6 +48,17 @@ def trained(workdir):
             "--d-h", "32", "--d-e", "16", "--layers", "1", "--heads", "2",
             "--d-ff", "64", "--max-len", "32", "--seed", "0")
     return d
+
+
+@pytest.fixture(scope="module")
+def trained_float64(trained, tmp_path_factory):
+    """The trained fixture's checkpoint with its parameters cast to float64,
+    as checkpoints were written before models were built in float32."""
+    vocab = Vocab.load(trained / "vocab.txt")
+    model, _, _ = load_checkpoint(trained / "model.ckpt", vocab)
+    path = tmp_path_factory.mktemp("float64") / "model.ckpt"
+    save_checkpoint(path, cast_params(model), vocab.sha256())
+    return path
 
 
 # -- build-vocab ----------------------------------------------------------------
@@ -482,26 +496,29 @@ def set_byte(blob: bytes, offset: int, value: int) -> bytes:
     return blob[:offset] + bytes([value]) + blob[offset + 1:]
 
 
-def first_array_float32(blob: bytes) -> bytes:
-    """Checkpoint bytes whose first array is stored as float32 and the rest
-    as float64: a well-formed file that mixes parameter dtypes."""
+OTHER_DTYPE = {"<f4": "<f8", "<f8": "<f4"}
+
+
+def first_array_retyped(blob: bytes) -> bytes:
+    """Checkpoint bytes whose first array is stored in the other float dtype
+    than the rest: a well-formed file that mixes parameter dtypes."""
     start = len(MAGIC) + 8
     body = start + int.from_bytes(blob[len(MAGIC):start], "little")
     first = json.loads(blob[start:body])["arrays"][0]
-    assert first["dtype"] == "<f8"
-    end = body + 8 * math.prod(first["shape"])
-    as_f4 = np.frombuffer(blob[body:end], dtype="<f8").astype("<f4").tobytes()
-    return (edit_header(blob[:body], lambda h: h["arrays"][0].update(dtype="<f4"))
-            + as_f4 + blob[end:])
+    tag = first["dtype"]
+    end = body + np.dtype(tag).itemsize * math.prod(first["shape"])
+    retyped = np.frombuffer(blob[body:end], dtype=tag).astype(OTHER_DTYPE[tag]).tobytes()
+    return (edit_header(blob[:body], lambda h: h["arrays"][0].update(dtype=OTHER_DTYPE[tag]))
+            + retyped + blob[end:])
 
 
-def retagged_float32(blob: bytes) -> bytes:
-    """Checkpoint bytes whose float64 arrays are all tagged float32 in the
-    header only: each array reads back as float32 garbage of half its bytes,
-    and half the payload is left unread."""
+def retagged(blob: bytes) -> bytes:
+    """Checkpoint bytes whose arrays are all tagged with the other float
+    dtype in the header only: each array reads back as garbage of half or
+    twice its bytes, so the payload is half unread or runs short."""
     def edit(header):
         for item in header["arrays"]:
-            item["dtype"] = "<f4"
+            item["dtype"] = OTHER_DTYPE[item["dtype"]]
     return edit_header(blob, edit)
 
 
@@ -517,19 +534,21 @@ CORRUPTIONS = {
     "missing_arrays": lambda b: edit_header(b, lambda h: h.pop("arrays")),
     "bad_shape": lambda b: edit_header(b, lambda h: h["arrays"][0].update(shape=[-1])),
     "truncated": lambda b: b[:-8],
-    "mixed_dtypes": first_array_float32,
+    "mixed_dtypes": first_array_retyped,
     "trailing_bytes": lambda b: b + bytes(range(40)),
-    "retagged_float32": retagged_float32,
+    "retagged_dtype": retagged,
 }
 
 
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
-def test_corrupt_checkpoint_is_data_error(trained, tmp_path, corruption):
+def test_corrupt_checkpoint_is_data_error(trained, trained_float64, tmp_path, corruption):
+    # checkpoints of either dtype are refused the same way
     d = trained
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(CORRUPTIONS[corruption]((d / "model.ckpt").read_bytes()))
-    with pytest.raises(DataError):
-        load_checkpoint(bad, Vocab.load(d / "vocab.txt"))
+    for source in (d / "model.ckpt", trained_float64):
+        bad.write_bytes(CORRUPTIONS[corruption](source.read_bytes()))
+        with pytest.raises(DataError):
+            load_checkpoint(bad, Vocab.load(d / "vocab.txt"))
 
 
 def test_segment_corrupt_checkpoint_exits_data(trained, tmp_path):
@@ -542,12 +561,13 @@ def test_segment_corrupt_checkpoint_exits_data(trained, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_legacy_checkpoint_loads(trained, tmp_path):
-    # files written with label_count and AdamW state in their header
+def test_legacy_checkpoint_loads(trained, trained_float64, tmp_path):
+    # files written with label_count and AdamW state in their header (float64,
+    # as every such file was)
     d = trained
     vocab = Vocab.load(d / "vocab.txt")
-    model, _, _ = load_checkpoint(d / "model.ckpt", vocab)
-    blob = (d / "model.ckpt").read_bytes()
+    model, _, _ = load_checkpoint(trained_float64, vocab)
+    blob = trained_float64.read_bytes()
     opt = {"adamw.m.tok_emb": np.full((2, 3), 0.5), "adamw.step": np.array([7.0])}
 
     def legacy(label_count):
@@ -568,7 +588,7 @@ def test_legacy_checkpoint_loads(trained, tmp_path):
     (tmp_path / "in.txt").write_text("李娜进入半决赛\n", encoding="utf-8")
     outputs = [run_cli("segment", "--checkpoint", str(path), "--vocab", str(d / "vocab.txt"),
                        "--criterion", "pku", "--input", str(tmp_path / "in.txt")).stdout
-               for path in (d / "model.ckpt", old)]
+               for path in (trained_float64, old)]
     assert outputs[0] == outputs[1] == "李 娜 进入 半 决赛\n"
 
     (tmp_path / "legacy5.ckpt").write_bytes(legacy(5))
@@ -576,14 +596,15 @@ def test_legacy_checkpoint_loads(trained, tmp_path):
         load_checkpoint(tmp_path / "legacy5.ckpt", vocab)
 
 
-def test_checkpoint_with_an_attention_key_bias_is_refused(trained, tmp_path):
+def test_checkpoint_with_an_attention_key_bias_is_refused(trained, trained_float64, tmp_path):
     # files written while attention blocks still had a key bias carry *.attn.bk
+    # (and are float64, as every such file was)
     d = trained
 
     def edit(header):  # the trained fixture's d_h is 32
         header["arrays"].append({"name": "enc0.attn.bk", "shape": [32], "dtype": "<f8"})
     old = tmp_path / "old.ckpt"
-    old.write_bytes(edit_header((d / "model.ckpt").read_bytes(), edit)
+    old.write_bytes(edit_header(trained_float64.read_bytes(), edit)
                     + np.zeros(32, dtype="<f8").tobytes())
     (tmp_path / "in.txt").write_text("李娜\n", encoding="utf-8")
     for command, args in (("segment", ["--criterion", "ctb", "--input", str(tmp_path / "in.txt")]),
@@ -595,34 +616,58 @@ def test_checkpoint_with_an_attention_key_bias_is_refused(trained, tmp_path):
 
 
 
-def test_float32_checkpoint_round_trips_and_runs(trained, tmp_path):
-    # a model whose parameters are float32 saves as <f4, loads back bit-equal
-    # in float32, re-saves byte-identically, and segment and evaluate run on it
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_checkpoint_round_trips_and_runs(trained, tmp_path, capsys, monkeypatch, dtype):
+    # a model saves in its parameters' dtype, loads back bit-equal in that
+    # dtype, re-saves byte-identically, and segment and evaluate run on it in
+    # that dtype
     d = trained
     vocab = Vocab.load(d / "vocab.txt")
     model, _, _ = load_checkpoint(d / "model.ckpt", vocab)
-    for p in model.params.values():
-        p.data = p.data.astype(np.float32)
-    path, again = tmp_path / "f32.ckpt", tmp_path / "again.ckpt"
+    cast_params(model, dtype)
+    path, again = tmp_path / "model.ckpt", tmp_path / "again.ckpt"
     save_checkpoint(path, model, vocab.sha256())
     header, _ = read_checkpoint(path)
-    assert {item["dtype"] for item in header["arrays"]} == {"<f4"}
+    assert {item["dtype"] for item in header["arrays"]} == {np.dtype(dtype).str}
     loaded, _, _ = load_checkpoint(path, vocab)
     for name, p in model.params.items():
-        assert loaded.params[name].data.dtype == np.float32
+        assert loaded.params[name].data.dtype == dtype
         assert np.array_equal(loaded.params[name].data, p.data), name
     save_checkpoint(again, loaded, vocab.sha256())
     assert again.read_bytes() == path.read_bytes()
 
+    def run(*args):
+        cli.cli.main([*args, "--checkpoint", str(path), "--vocab", str(d / "vocab.txt")],
+                     standalone_mode=False)
+        return capsys.readouterr().out
+
+    logit_dtypes = set()
+    forward = Model.forward_batch
+
+    def recording(self, *args, **kwargs):
+        out = forward(self, *args, **kwargs)
+        logit_dtypes.add(out.label_logits.data.dtype)
+        return out
+
+    monkeypatch.setattr(Model, "forward_batch", recording)
     (tmp_path / "in.txt").write_text("李娜进入半决赛\n", encoding="utf-8")
     for criterion, expected in (("ctb", "李娜 进入 半决赛\n"), ("pku", "李 娜 进入 半 决赛\n")):
-        proc = run_cli("segment", "--checkpoint", str(path), "--vocab", str(d / "vocab.txt"),
-                       "--criterion", criterion, "--input", str(tmp_path / "in.txt"))
-        assert proc.stdout == expected
-    tables = [run_cli("evaluate", "--checkpoint", str(ckpt), "--vocab", str(d / "vocab.txt"),
-                      "--gold", f"ctb={d / 'ctb.txt'}", "--gold", f"pku={d / 'pku.txt'}").stdout
-              for ckpt in (d / "model.ckpt", path)]
-    assert tables[0] == tables[1]
+        assert run("segment", "--criterion", criterion, "--input", str(tmp_path / "in.txt")) == expected
+    table = run("evaluate", "--gold", f"ctb={d / 'ctb.txt'}", "--gold", f"pku={d / 'pku.txt'}")
+    assert logit_dtypes == {np.dtype(dtype)}
+    assert table == run_cli("evaluate", "--checkpoint", str(d / "model.ckpt"),
+                            "--vocab", str(d / "vocab.txt"), "--gold", f"ctb={d / 'ctb.txt'}",
+                            "--gold", f"pku={d / 'pku.txt'}").stdout
+
+
+def test_new_models_are_float32(trained):
+    # models are built, trained and saved in float32; float64 checkpoints keep
+    # their dtype (test_checkpoint_round_trips_and_runs[float64])
+    vocab = Vocab.load(trained / "vocab.txt")
+    model = Model.for_vocab(ModelConfig(num_criteria=vocab.num_criteria), vocab)
+    assert {p.data.dtype for p in model.params.values()} == {np.dtype(np.float32)}
+    header, _ = read_checkpoint(trained / "model.ckpt")
+    assert {item["dtype"] for item in header["arrays"]} == {"<f4"}
 
 
 class FailMidway:

@@ -22,7 +22,7 @@ from mccws.optim import AdamW
 from mccws.trainer import prepare_for_eval, prepare_for_training
 
 from faultutil import minor_faults, needs_mallopt
-from gradutil import assert_grads_match
+from gradutil import assert_grads_match, cast_params
 import reference
 from reference import softmax
 
@@ -242,7 +242,7 @@ def test_contextualize_single_position(vocab):
 
 
 def test_attention_rows_sum_to_one(vocab, monkeypatch):
-    m = tiny_model(vocab)
+    m = cast_params(tiny_model(vocab))
     ids, bi, lengths = sentence_inputs(vocab, ["李娜", "进入", "半决赛"], 0)
     probs = record_attention(monkeypatch)
     m.forward_batch(ids, bi, lengths)
@@ -313,7 +313,7 @@ def test_classify_single_criterion():
 # -- loss --------------------------------------------------------------------------
 
 def test_loss_uniform_arithmetic(vocab):
-    m = tiny_model(vocab)
+    m = cast_params(tiny_model(vocab))
     m.params["dec.w_o"].data[:] = 0.0
     m.params["dec.b_o"].data[:] = 0.0
     m.params["cls.w_c"].data[:] = 0.0
@@ -326,7 +326,7 @@ def test_loss_uniform_arithmetic(vocab):
 
 
 def test_loss_matches_manual_composition(vocab):
-    m = tiny_model(vocab)
+    m = cast_params(tiny_model(vocab))
     sents = [
         prepare_sentence(RawSentence(["李娜", "进入"], 0), vocab),
         prepare_sentence(RawSentence(["半", "决赛"], 1), vocab),
@@ -356,7 +356,7 @@ def test_loss_rejects_empty_batch(vocab):
 
 
 def test_full_model_gradcheck_quick(vocab):
-    m = tiny_model(vocab, d_h=8, d_e=4, encoder_layers=1, heads=2, d_ff=16)
+    m = cast_params(tiny_model(vocab, d_h=8, d_e=4, encoder_layers=1, heads=2, d_ff=16))
     sents = [
         prepare_sentence(RawSentence(["李娜", "进入"], 0), vocab),
         prepare_sentence(RawSentence(["半", "决赛"], 1), vocab),
@@ -405,7 +405,7 @@ def test_backward_frees_graph_without_collector(vocab):
 def test_padding_cannot_leak(vocab):
     # a padded batch's loss and gradients are the mean of each sentence's solo
     # run, and junk written into the padding changes neither, bit for bit
-    m = tiny_model(vocab)
+    m = cast_params(tiny_model(vocab))
     words = [["李娜", "进入", "半决赛"], ["李"], ["进入", "半", "决赛", "李娜", "进入"],
              ["半决赛"], ["娜", "进"]]
     sents = [prepare_sentence(RawSentence(w, i % 2), vocab) for i, w in enumerate(words)]
@@ -788,8 +788,8 @@ def test_param_shapes_cover_all_params(vocab):
 def test_every_parameter_moves_the_logits(vocab):
     # no dead parameters: with every parameter moved off its init (zero
     # biases, unit gains), nudging any one of them moves the label or
-    # criterion logits by more than rounding
-    m = tiny_model(vocab, encoder_layers=2)
+    # criterion logits by more than rounding (float64, so rounding is ~1e-16)
+    m = cast_params(tiny_model(vocab, encoder_layers=2))
     rng = make_rng(16)
     for p in m.params.values():
         p.data += rng.normal(0.0, 0.1, size=p.data.shape)
@@ -813,27 +813,27 @@ def test_every_parameter_moves_the_logits(vocab):
     assert dead == [], dead
 
 
-def test_float32_parameters_keep_the_step_float32(vocab, monkeypatch):
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_parameters_keep_the_step_in_their_dtype(vocab, monkeypatch, dtype):
     # precision is the parameters' dtype: a training step and predict over a
-    # model with float32 parameters make float32 values and gradients only
-    m = tiny_model(vocab)
-    for p in m.params.values():
-        p.data = p.data.astype(np.float32)
+    # model with float32 (the default) or float64 parameters make values and
+    # gradients of that dtype only
+    m = cast_params(tiny_model(vocab), dtype)
     sents = [prepare_sentence(RawSentence(["李娜", "进入"], 0), vocab),
              prepare_sentence(RawSentence(["半", "决赛"], 1), vocab)]
     ids, bi, lengths, labels, cids = pack_batch(sents, vocab)
     for t in forward_stages(m, ids, bi, lengths):
-        assert t.data.dtype == np.float32
+        assert t.data.dtype == dtype
     probs = record_attention(monkeypatch)
     loss, out = m.loss_batch(ids, bi, lengths, labels, cids, training=True, rng=make_rng(0))
     for t in (loss, out.label_logits, out.criterion_logits):
-        assert t.data.dtype == np.float32
-    assert probs and all(a.dtype == np.float32 for a in probs)
+        assert t.data.dtype == dtype
+    assert probs and all(a.dtype == dtype for a in probs)
     backward(loss)
-    assert {p.grad.dtype for p in m.params.values()} == {np.dtype(np.float32)}
+    assert {p.grad.dtype for p in m.params.values()} == {np.dtype(dtype)}
     with no_grad():
         logits = m.forward_batch(*pack_inputs(sents, vocab)).label_logits
-    assert logits.data.dtype == np.float32
+    assert logits.data.dtype == dtype
 
 
 def test_init_deterministic(vocab):

@@ -10,6 +10,8 @@ from mccws.optim import AdamW
 from mccws.synth import SyntheticSpec, generate_synthetic
 from mccws import trainer as tr
 
+from gradutil import cast_params
+
 
 @pytest.fixture(scope="module")
 def small_setup():
@@ -123,18 +125,17 @@ def test_training_is_bit_deterministic(small_setup):
     assert metrics_a == metrics_b
 
 
-def test_float32_training_is_bit_deterministic(small_setup, tmp_path):
-    # a model whose parameters are float32 trains in float32, and two
-    # identical runs write identical checkpoint bytes
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_training_writes_bit_identical_checkpoints(small_setup, tmp_path, dtype):
+    # a model trains in its parameters' dtype, float32 (the default) or
+    # float64, and two identical runs write identical checkpoint bytes
     vocab, train_sents, dev_sents = small_setup
 
     def run(tag):
-        model = small_model(vocab, seed=3)
-        for p in model.params.values():
-            p.data = p.data.astype(np.float32)
+        model = cast_params(small_model(vocab, seed=3), dtype)
         cfg = tr.TrainConfig(epochs=2, batch_size=16, seed=7, lr=1e-3)
         tr.train(model, vocab, train_sents, dev_sents, cfg)
-        assert {p.data.dtype for p in model.params.values()} == {np.dtype(np.float32)}
+        assert {p.data.dtype for p in model.params.values()} == {np.dtype(dtype)}
         path = tmp_path / f"{tag}.ckpt"
         save_checkpoint(path, model, vocab.sha256())
         return path.read_bytes()
