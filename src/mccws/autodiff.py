@@ -19,7 +19,9 @@ Precision is that of the data: a Tensor keeps float32 data as float32 and
 makes anything else float64, and every op keeps its inputs' dtype. A model
 is float32 or float64 as its parameters are. New models are float32
 (``model.init_params``); float64 serves gradient checks, which need the
-headroom, and checkpoints written in float64.
+headroom, and checkpoints written in float64. Layer norm's epsilon is the
+same in both, so a float64 cast computes the float32 model's function, up
+to rounding.
 
 All randomness (dropout masks, initialization) must come from generators
 made by :func:`make_rng`, which is PCG64 under a fixed seed, so runs are
@@ -240,14 +242,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out
 
 
+# BERT's layer-norm epsilon (Devlin et al. 2019), for every dtype, so that a
+# float32 model and its float64 cast compute the same function
+LAYER_NORM_EPS = 1e-12
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply an
-    elementwise affine gain and bias. The variance's epsilon suits x's
-    precision: 1e-12 in float64, 1e-5 in float32."""
-    eps = 1e-5 if x.data.dtype == np.float32 else 1e-12
+    elementwise affine gain and bias. The variance's epsilon is
+    LAYER_NORM_EPS in every precision."""
     # the centred values serve the variance (as ndarray.var computes it) and xhat
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv
     out = _node(xhat * gain.data + bias.data, (x, gain, bias))
     if out._parents:

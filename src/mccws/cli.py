@@ -52,15 +52,21 @@ def load_criterion_corpora(pairs, vocab: cp.Vocab, option: str, prepare,
     return corpora
 
 
+# every option that sets a config field takes its default from that field
 model_options = [
-    click.option("--d-h", default=64, show_default=True, help="Hidden size."),
-    click.option("--d-e", default=32, show_default=True, help="Bigram embedding size."),
-    click.option("--layers", default=2, show_default=True, help="Encoder layers."),
-    click.option("--heads", default=4, show_default=True, help="Attention heads."),
-    click.option("--d-ff", default=256, show_default=True, help="Feed-forward inner size."),
-    click.option("--max-len", default=128, show_default=True, help="Max sequence length (with criterion token)."),
-    click.option("--dropout", default=0.1, show_default=True, help="Dropout probability."),
-    click.option("--no-bigram", is_flag=True, help="Disable the bigram feature channel."),
+    click.option("--d-h", default=ModelConfig.d_h, show_default=True, help="Hidden size."),
+    click.option("--d-e", default=ModelConfig.d_e, show_default=True, help="Bigram embedding size."),
+    click.option("--layers", default=ModelConfig.encoder_layers, show_default=True,
+                 help="Encoder layers."),
+    click.option("--heads", default=ModelConfig.heads, show_default=True, help="Attention heads."),
+    click.option("--d-ff", default=ModelConfig.d_ff, show_default=True,
+                 help="Feed-forward inner size."),
+    click.option("--max-len", default=ModelConfig.max_len, show_default=True,
+                 help="Max sequence length (with criterion token)."),
+    click.option("--dropout", default=ModelConfig.dropout_p, show_default=True,
+                 help="Dropout probability."),
+    click.option("--no-bigram", is_flag=True, default=not ModelConfig.use_bigram,
+                 help="Disable the bigram feature channel."),
 ]
 
 
@@ -134,18 +140,24 @@ def cmd_build_vocab(corpora, out):
 @click.option("--vocab", "vocab_path", required=True, type=click.Path(exists=True))
 @click.option("--out", required=True, type=click.Path(), help="Best-dev checkpoint to write.")
 @click.option("--metrics-log", type=click.Path(), help="Append JSONL metrics records here.")
-@click.option("--epochs", default=10, show_default=True)
-@click.option("--batch-size", default=64, show_default=True)
-@click.option("--lr", default=2e-5, show_default=True)
-@click.option("--warmup-ratio", default=0.1, show_default=True)
-@click.option("--weight-decay", default=0.01, show_default=True)
-@click.option("--eval-every", default=1, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--epochs", default=tr.TrainConfig.epochs, show_default=True)
+@click.option("--batch-size", default=tr.TrainConfig.batch_size, show_default=True)
+@click.option("--lr", default=tr.TrainConfig.lr, show_default=True)
+@click.option("--warmup-ratio", default=tr.TrainConfig.warmup_ratio, show_default=True)
+@click.option("--weight-decay", default=tr.TrainConfig.weight_decay, show_default=True)
+@click.option("--eval-every", default=tr.TrainConfig.eval_every, show_default=True)
+@click.option("--seed", default=tr.TrainConfig.seed, show_default=True)
 @add_options(model_options)
 def cmd_train(corpora, dev_corpora, vocab_path, out, metrics_log,
               epochs, batch_size, lr, warmup_ratio, weight_decay, eval_every, seed,
               d_h, d_e, layers, heads, d_ff, max_len, dropout, no_bigram):
     """Train the unified model on one or more criteria."""
+    cfg = tr.TrainConfig(epochs=epochs, batch_size=batch_size, seed=seed,
+                         eval_every=eval_every, lr=lr, warmup_ratio=warmup_ratio,
+                         weight_decay=weight_decay)
+    if dev_corpora and 1 <= epochs < eval_every:
+        raise ConfigError(f"--eval-every {eval_every} is more than --epochs {epochs},"
+                          " so the dev set would never be evaluated")
     vocab = cp.Vocab.load(vocab_path)
     config = ModelConfig(num_criteria=vocab.num_criteria, d_h=d_h, d_e=d_e,
                          encoder_layers=layers, heads=heads, d_ff=d_ff, max_len=max_len,
@@ -160,9 +172,6 @@ def cmd_train(corpora, dev_corpora, vocab_path, out, metrics_log,
                                         config.max_len).values():
         dev_sents.extend(sents)
 
-    cfg = tr.TrainConfig(epochs=epochs, batch_size=batch_size, seed=seed,
-                         eval_every=eval_every, lr=lr, warmup_ratio=warmup_ratio,
-                         weight_decay=weight_decay)
     if epochs == 0:
         click.echo("warning: --epochs 0 writes a checkpoint of initialized parameters",
                    err=True)
@@ -179,7 +188,7 @@ def cmd_train(corpora, dev_corpora, vocab_path, out, metrics_log,
     if result.metrics:
         last_train = [r for r in result.metrics if r["split"] == "train"][-1]
         click.echo(f"final train loss: {last_train['loss']:.4f}")
-    if result.best_f1 > 0:
+    if dev_sents and epochs:
         click.echo(f"best dev mean F1: {result.best_f1:.4f}")
     click.echo(f"checkpoint written: {out}")
 
@@ -252,10 +261,12 @@ def cmd_evaluate(checkpoint_path, vocab_path, gold_corpora, report_path):
 @cli.command("synth")
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 @click.option("--criteria", "criteria_pairs", multiple=True, metavar="NAME=RULE",
-              help=f"Criterion rules (default join=run split=singles); rules: {', '.join(sy.RULES)}.")
-@click.option("--train-sentences", default=2000, show_default=True)
-@click.option("--dev-sentences", default=200, show_default=True)
-@click.option("--test-sentences", default=200, show_default=True)
+              help="Criterion rules (default "
+                   + " ".join(f"{name}={rule}" for name, rule in sy.SyntheticSpec().criteria.items())
+                   + f"); rules: {', '.join(sy.RULES)}.")
+@click.option("--train-sentences", default=sy.SyntheticSpec.n_train, show_default=True)
+@click.option("--dev-sentences", default=sy.SyntheticSpec.n_dev, show_default=True)
+@click.option("--test-sentences", default=sy.SyntheticSpec.n_test, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 def cmd_synth(out_dir, criteria_pairs, train_sentences, dev_sentences, test_sentences, seed):
     """Generate a synthetic multi-criteria corpus."""

@@ -47,7 +47,7 @@ class SyntheticSpec:
     n_dev: int = 200
     n_test: int = 200
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.criteria:
             raise ConfigError("need at least one criterion")
         for name, rule in self.criteria.items():
@@ -89,7 +89,6 @@ def _make_lexicon(rng) -> list[str]:
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> dict[str, dict[str, list[RawSentence]]]:
     """Build train/dev/test splits for every criterion from shared base
     sentences. Deterministic in (spec, seed)."""
-    spec.validate()
     rng = make_rng(seed)
     lexicon = _make_lexicon(rng)
     train_types = lexicon[:CONTENT_WORD_TYPES]

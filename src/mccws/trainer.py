@@ -19,7 +19,7 @@ class TrainConfig:
     batch_size: int = 64
     seed: int = 0
     eval_every: int = 1
-    lr: float = 1e-3
+    lr: float = 3e-3  # the best of an lr sweep at 10 epochs; see README
     warmup_ratio: float = 0.1
     weight_decay: float = 0.01
 

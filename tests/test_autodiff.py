@@ -6,8 +6,8 @@ import pytest
 import reference
 from mccws import autodiff as ad
 from mccws.autodiff import (
-    Rows, Tensor, attention, backward, cross_entropy, dropout, embedding_lookup, gather_rows,
-    layer_norm, linear, make_rng, parameter,
+    LAYER_NORM_EPS, Rows, Tensor, attention, backward, cross_entropy, dropout, embedding_lookup,
+    gather_rows, layer_norm, linear, make_rng, parameter,
 )
 
 from gradutil import assert_grads_match, finite_diff, max_violation
@@ -226,15 +226,15 @@ def test_layer_norm_already_normalized():
     assert np.allclose(y, [[1.0, -1.0]], atol=1e-12)
 
 
-def test_layer_norm_epsilon_follows_dtype():
-    # a row of variance 1e-6 normalizes to about +-1 in float64 (eps 1e-12)
-    # and to +-1e-3 / sqrt(1e-6 + 1e-5) in float32 (eps 1e-5)
-    for dtype, eps in ((np.float64, 1e-12), (np.float32, 1e-5)):
-        x = Tensor(np.array([[1e-3, -1e-3]], dtype=dtype))
+def test_layer_norm_epsilon_is_one_constant():
+    # a row of variance 1e-12, BERT's epsilon, normalizes to +-1/sqrt(2) in
+    # either precision (an epsilon of 1e-5 would give +-3e-4, none +-1)
+    assert LAYER_NORM_EPS == 1e-12
+    for dtype in (np.float32, np.float64):
+        x = Tensor(np.array([[1e-6, -1e-6]], dtype=dtype))
         y = layer_norm(x, Tensor(np.ones(2, dtype=dtype)), Tensor(np.zeros(2, dtype=dtype))).data
         assert y.dtype == dtype
-        assert np.allclose(y, [[1e-3 / math.sqrt(1e-6 + eps), -1e-3 / math.sqrt(1e-6 + eps)]],
-                           rtol=1e-5)
+        assert np.allclose(y, [[math.sqrt(0.5), -math.sqrt(0.5)]], rtol=1e-5)
 
 
 def test_layer_norm_stats():

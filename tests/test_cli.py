@@ -16,6 +16,8 @@ from mccws.checkpoint import MAGIC, load_checkpoint, read_checkpoint, save_check
 from mccws.corpus import RawSentence, Vocab
 from mccws.errors import DataError
 from mccws.model import Model, ModelConfig
+from mccws.synth import SyntheticSpec
+from mccws.trainer import TrainConfig, TrainResult
 
 from gradutil import cast_params
 
@@ -143,6 +145,31 @@ def test_train_seed_reproducible(workdir, tmp_path):
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
     records = [json.loads(line) for line in (tmp_path / "a.jsonl").read_text().splitlines()]
     assert {r["split"] for r in records} == {"train", "dev"}
+
+
+def test_train_refuses_a_dev_set_it_would_never_evaluate(workdir, tmp_path):
+    proc = run_cli("train", "--corpus", f"ctb={workdir / 'ctb.txt'}",
+                   "--dev", f"ctb={workdir / 'ctb.txt'}", "--vocab", str(workdir / "vocab.txt"),
+                   "--out", str(tmp_path / "x.ckpt"), "--metrics-log", str(tmp_path / "m.jsonl"),
+                   "--epochs", "2", "--eval-every", "3", expect=2)
+    assert "--eval-every 3" in proc.stderr and "--epochs 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("epochs,printed", [(1, True), (0, False)])
+def test_train_prints_best_dev_f1_whenever_dev_was_evaluated(workdir, tmp_path, capsys,
+                                                            monkeypatch, epochs, printed):
+    # an evaluated dev set is reported even at F1 0
+    def train(model, vocab, train_sents, dev_sents, cfg):
+        return TrainResult({name: p.data for name, p in model.params.items()}, best_f1=0.0)
+
+    monkeypatch.setattr(cli.tr, "train", train)
+    cli.cli.main(["train", "--corpus", f"ctb={workdir / 'ctb.txt'}",
+                  "--dev", f"ctb={workdir / 'ctb.txt'}", "--vocab", str(workdir / "vocab.txt"),
+                  "--out", str(tmp_path / "x.ckpt"), "--epochs", str(epochs)],
+                 standalone_mode=False)
+    assert ("best dev mean F1: 0.0000" in capsys.readouterr().out) is printed
 
 
 # -- segment -----------------------------------------------------------------------
@@ -809,6 +836,38 @@ def test_synth_out_dir_under_file_exits_data(tmp_path):
 
 
 # -- settings ---------------------------------------------------------------------------
+
+def test_option_defaults_are_the_config_defaults(workdir, tmp_path, monkeypatch):
+    # a setting has one default: train and synth given no optional option
+    # build exactly the configs whose fields are all at their defaults
+    built = {}
+
+    class Built(Exception):
+        pass
+
+    def train(model, vocab, train_sents, dev_sents, cfg):
+        built.update(model=model.config, train=cfg)
+        raise Built
+
+    def generate_synthetic(spec, seed):
+        built.update(synth=spec)
+        raise Built
+
+    monkeypatch.setattr(cli.tr, "train", train)
+    monkeypatch.setattr(cli.sy, "generate_synthetic", generate_synthetic)
+    for args in (["train", "--corpus", f"ctb={workdir / 'ctb.txt'}",
+                  "--vocab", str(workdir / "vocab.txt"), "--out", str(tmp_path / "x.ckpt")],
+                 ["synth", "--out-dir", str(tmp_path / "synth")]):
+        with pytest.raises(Built):
+            cli.cli.main(args, standalone_mode=False)
+    assert built["train"] == TrainConfig()
+    assert built["model"] == ModelConfig(num_criteria=Vocab.load(workdir / "vocab.txt").num_criteria)
+    assert built["model"].use_bigram  # --no-bigram is off by default
+    assert built["synth"] == SyntheticSpec()
+    criteria = " ".join(f"{name}={rule}" for name, rule in SyntheticSpec().criteria.items())
+    [option] = [p for p in cli.cli.commands["synth"].params if p.name == "criteria_pairs"]
+    assert f"(default {criteria})" in option.help
+
 
 def test_command_options_are_pinned():
     # every option is a setting some caller varies; adding one means

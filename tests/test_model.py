@@ -372,6 +372,26 @@ def test_full_model_gradcheck_quick(vocab):
     zero_grads(m.params.values())
 
 
+def test_float32_gradients_match_the_float64_cast(vocab):
+    # the float64 cast that the gradient checks run is the function that is
+    # trained in float32: at init their full gradients differ by rounding,
+    # ~6e-7 of a parameter's gradient norm
+    m = Model.for_vocab(ModelConfig(num_criteria=vocab.num_criteria), vocab, seed=0)
+    rng = random.Random(0)
+    sents = [prepare_sentence(RawSentence(rng.choices("李娜进入半决赛", k=int(T)), i % 2), vocab)
+             for i, T in enumerate(np.linspace(4, 40, 16))]
+    batch = pack_batch(sents, vocab)
+    grads = {}
+    for dtype in (np.float32, np.float64):
+        cast_params(m, dtype)
+        backward(m.loss_batch(*batch, training=True, rng=make_rng(0))[0])
+        grads[dtype] = {name: p.grad.astype(np.float64) for name, p in m.params.items()}
+        zero_grads(m.params.values())
+    gaps = {name: np.linalg.norm(grads[np.float32][name] - g) / np.linalg.norm(g)
+            for name, g in grads[np.float64].items()}
+    assert max(gaps.values()) < 1e-4, max(gaps.items(), key=lambda kv: kv[1])
+
+
 def test_backward_frees_graph_without_collector(vocab):
     m = tiny_model(vocab)
     sents = [prepare_sentence(RawSentence(["李娜", "进入"], 0), vocab),
