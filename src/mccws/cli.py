@@ -41,11 +41,14 @@ def load_criterion_corpora(pairs, vocab: cp.Vocab, option: str, prepare,
                            max_len: int) -> dict[str, list[cp.Sentence]]:
     """The NAME=PATH pairs of --option, each read as its criterion's corpus
     and prepared by prepare(raws, vocab, max_len), a trainer.prepare_for_*
-    function; a refusal names the file and its criterion."""
+    function. A file with no sentences is refused; a refusal names the
+    file and its criterion."""
     corpora = {}
     for name, path in parse_pairs(pairs, option).items():
         raws = cp.load_corpus(path, vocab.criterion_id(name))
         try:
+            if not raws:
+                raise DataError("no sentences")
             corpora[name] = prepare(raws, vocab, max_len)
         except DataError as exc:
             raise DataError(f"{path} (criterion {name!r}): {exc}") from exc
@@ -164,13 +167,10 @@ def cmd_train(corpora, dev_corpora, vocab_path, out, metrics_log,
                          dropout_p=dropout, use_bigram=not no_bigram)
     model = Model.for_vocab(config, vocab, seed=seed)
 
-    train_sents, dev_sents = [], []
-    for sents in load_criterion_corpora(corpora, vocab, "corpus", tr.prepare_for_training,
-                                        config.max_len).values():
-        train_sents.extend(sents)
-    for sents in load_criterion_corpora(dev_corpora, vocab, "dev", tr.prepare_for_eval,
-                                        config.max_len).values():
-        dev_sents.extend(sents)
+    train_sents = [sent for sents in load_criterion_corpora(
+        corpora, vocab, "corpus", tr.prepare_for_training, config.max_len).values() for sent in sents]
+    dev_sents = [sent for sents in load_criterion_corpora(
+        dev_corpora, vocab, "dev", tr.prepare_for_eval, config.max_len).values() for sent in sents]
 
     if epochs == 0:
         click.echo("warning: --epochs 0 writes a checkpoint of initialized parameters",
@@ -246,9 +246,6 @@ def cmd_evaluate(checkpoint_path, vocab_path, gold_corpora, report_path):
     model, _, _ = ckpt.load_checkpoint(checkpoint_path, vocab)
     corpora = load_criterion_corpora(gold_corpora, vocab, "gold", tr.prepare_for_eval,
                                      model.config.max_len)
-    for name, sents in corpora.items():
-        if not sents:
-            raise DataError(f"gold file for criterion {name!r} has no sentences")
     sentences = [sent for sents in corpora.values() for sent in sents]
     results = tr.evaluate_model(model, vocab, sentences)
     reports = [results[name][0] for name in corpora]

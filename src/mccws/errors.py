@@ -14,7 +14,7 @@ class ConfigError(MccwsError):
 
 
 class DataError(MccwsError):
-    """Invalid input data: unreadable files, bad encodings, overlong lines."""
+    """Invalid input data: unreadable files, bad encodings, empty corpus files."""
 
 
 class DivergenceError(MccwsError):

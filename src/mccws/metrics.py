@@ -100,14 +100,7 @@ REPORT_FIELDS = ("criterion", "precision", "recall", "f1", "oov_recall", "oov_to
 
 
 def report_record(report: EvalReport) -> dict:
-    return {
-        "criterion": report.criterion,
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1": report.f1,
-        "oov_recall": report.oov_recall,
-        "oov_total": report.oov_total,
-    }
+    return {name: getattr(report, name) for name in REPORT_FIELDS}
 
 
 def report_jsonl(reports) -> str:

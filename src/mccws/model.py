@@ -312,23 +312,37 @@ class Model:
 
     # -- inference ------------------------------------------------------------------------------
 
-    def predict(self, sentences: list[cp.Sentence],
-                vocab: cp.Vocab) -> tuple[list[np.ndarray], np.ndarray]:
+    def predict(self, sentences: list[cp.Sentence], vocab: cp.Vocab,
+                token_spans: list[list[tuple[int, int]]] | None = None
+                ) -> tuple[list[np.ndarray], np.ndarray]:
         """Eval-mode forward over batches of at most BATCH_SENTENCES
-        sentences (their gold spans are not read).
+        sentences and windows, in order of length (a stable sort) so that a
+        batch pads to little more than its longest member, and cut before
+        their attention scores pass SCORE_CELLS (a member too long for that
+        runs alone). Gold spans are not read.
 
-        Sentences are batched in order of length (a stable sort), so a batch
-        pads to little more than its longest sentence; a batch also stops
-        growing before its attention scores pass SCORE_CELLS (a sentence too
-        long for that runs alone). Results come back in input order. Returns
-        (labels, criteria): the greedy per-position BMES ids of each
-        sentence, trimmed to its length (no CRF), and the criterion
-        classifier's argmax per sentence [N].
+        A sentence of more than max_len - 1 tokens is decoded in windows that
+        fit, each indexed anew: text_windows of token_spans[i], its tokens'
+        spans in its text, so cuts fall at whitespace gaps (with no
+        token_spans there are none). The last label of each window but the
+        last closes its word (B -> S, M -> E), so decode_bmes of the labels
+        gives the words of the windows decoded one by one. Returns (labels,
+        criteria) in input order: the greedy BMES ids of each sentence's
+        tokens (no CRF), and the criterion classifier's argmax per sentence
+        [N], a windowed one's from its first window.
         """
-        sizes = [len(s) for s in sentences]
-        order = sorted(range(len(sentences)), key=sizes.__getitem__)
-        labels: list[np.ndarray] = [None] * len(sentences)
-        criteria = [0] * len(sentences)
+        limit = self.config.max_len - 1
+        pieces = []  # (index of the sentence, the sentence or one of its windows)
+        for i, sent in enumerate(sentences):
+            if len(sent) <= limit:
+                pieces.append((i, sent))
+            else:
+                spans = token_spans[i] if token_spans else [(t, t + 1) for t in range(len(sent))]
+                pieces.extend((i, cp.index_sentence(sent.tokens[lo:hi], vocab, sent.criterion_id))
+                              for lo, hi in text_windows(spans, limit))
+        sizes = [len(s) for _, s in pieces]
+        order = sorted(range(len(pieces)), key=sizes.__getitem__)
+        results = [None] * len(pieces)  # (labels, criterion) of each piece
         start = 0
         while start < len(order):
             stop = start + 1
@@ -339,14 +353,21 @@ class Model:
             rows = order[start:stop]
             start = stop
             with no_grad():
-                out = self.forward_batch(*pack_inputs([sentences[i] for i in rows], vocab))
+                out = self.forward_batch(*pack_inputs([pieces[j][1] for j in rows], vocab))
             label_ids = out.label_logits.data.argmax(axis=-1)
             offset = 0
-            for i, c in zip(rows, out.criterion_logits.data.argmax(axis=-1).tolist()):
-                labels[i] = label_ids[offset:offset + sizes[i]]
+            for j, c in zip(rows, out.criterion_logits.data.argmax(axis=-1).tolist()):
+                results[j] = (label_ids[offset:offset + sizes[j]], c)
+                offset += sizes[j]
+        labels, criteria = [[] for _ in sentences], [0] * len(sentences)
+        for (i, _), (x, c) in zip(pieces, results):
+            if labels[i]:  # the window before this one ends at a word boundary
+                labels[i][-1][-1] = (cp.S, cp.E, cp.E, cp.S)[labels[i][-1][-1]]
+            else:
                 criteria[i] = c
-                offset += sizes[i]
-        return labels, np.array(criteria, dtype=np.int64)
+            labels[i].append(x)
+        return ([x[0] if len(x) == 1 else np.concatenate(x) for x in labels],
+                np.array(criteria, dtype=np.int64))
 
     def segment_text(self, texts: list[str], criterion_name: str, vocab: cp.Vocab,
                      tokens: list[list[tuple[str, tuple[int, int]]]] | None = None
@@ -355,26 +376,21 @@ class Model:
         predict call; returns each text's words, in input order.
 
         Latin/digit runs are re-emitted verbatim from the original text.
-        Whitespace is dropped before the forward pass and always ends a word.
-        A text of more than max_len - 1 tokens is segmented in consecutive
-        windows that fit (see text_windows). tokens[i] is
-        cp.text_tokens(texts[i]), for a caller that already has them.
+        Whitespace is dropped before the forward pass and always ends a word;
+        predict cuts a text of more than max_len - 1 tokens at its last
+        whitespace gaps that fit. tokens[i] is cp.text_tokens(texts[i]), for
+        a caller that already has them.
         """
         cid = vocab.criterion_id(criterion_name)
         if tokens is None:
             tokens = [cp.text_tokens(text) for text in texts]
-        windows = []  # (index of the text, the window's (token, span) pairs)
-        for i, toks_spans in enumerate(tokens):
-            windows.extend((i, toks_spans[lo:hi]) for lo, hi in
-                           text_windows([span for _, span in toks_spans], self.config.max_len - 1))
+        spans = [[span for _, span in toks] for toks in tokens]
         labels, _ = self.predict(
-            [cp.index_sentence([t for t, _ in window], vocab, cid) for _, window in windows], vocab)
-        words: list[list[str]] = [[] for _ in texts]
-        for (i, window), window_labels in zip(windows, labels):
-            for s, e in cp.decode_bmes(window_labels.tolist()):
-                # the gaps between kept tokens are whitespace
-                words[i].extend(texts[i][window[s][1][0]:window[e - 1][1][1]].split())
-        return words
+            [cp.index_sentence([t for t, _ in toks], vocab, cid) for toks in tokens], vocab, spans)
+        # the gaps between kept tokens are whitespace
+        return [[word for s, e in cp.decode_bmes(x.tolist())
+                 for word in text[sp[s][0]:sp[e - 1][1]].split()]
+                for text, sp, x in zip(texts, spans, labels)]
 
 
 def text_windows(spans: list[tuple[int, int]], limit: int) -> list[tuple[int, int]]:

@@ -77,14 +77,8 @@ def prepare_for_training(raws: list[cp.RawSentence], vocab: cp.Vocab, max_len: i
 
 
 def prepare_for_eval(raws: list[cp.RawSentence], vocab: cp.Vocab, max_len: int) -> list[cp.Sentence]:
-    """Evaluation never truncates or splits: over-long lines are an error.
-    The error numbers them among raws, the file's non-blank lines."""
-    sentences = [cp.prepare_sentence(raw, vocab) for raw in raws]
-    offenders = [i + 1 for i, s in enumerate(sentences) if len(s) > max_len - 1]
-    if offenders:
-        raise DataError(f"{len(offenders)} sentence(s) exceed {max_len - 1} tokens:"
-                        f" non-blank lines {offenders}")
-    return sentences
+    """Every sentence whole: predict decodes an over-long one in windows. max_len is not read."""
+    return [cp.prepare_sentence(raw, vocab) for raw in raws]
 
 
 def evaluate_model(model: Model, vocab: cp.Vocab,

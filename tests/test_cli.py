@@ -15,6 +15,7 @@ from mccws import corpus as cp
 from mccws.checkpoint import MAGIC, load_checkpoint, read_checkpoint, save_checkpoint
 from mccws.corpus import RawSentence, Vocab
 from mccws.errors import DataError
+from mccws.metrics import f1_score
 from mccws.model import Model, ModelConfig
 from mccws.synth import SyntheticSpec
 from mccws.trainer import TrainConfig, TrainResult
@@ -425,20 +426,41 @@ def test_evaluate_rows_follow_gold_order(trained, tmp_path):
     assert [r["criterion"] for r in records] == ["pku", "ctb"]
 
 
-def test_evaluate_overlong_line_is_data_error(trained, tmp_path):
+def test_evaluate_scores_overlong_lines_as_segment_cuts_them(trained, tmp_path):
+    # a gold line of more than max_len - 1 tokens is decoded in the windows
+    # that segment cuts its raw text into: for each criterion, evaluate's F1
+    # is the F1 of segment's words on the same lines
     d = trained
-    long_line = " ".join(["李娜"] * 40)
-    (tmp_path / "long.txt").write_text(long_line + "\n", encoding="utf-8")
-    proc = run_cli("evaluate", "--checkpoint", str(d / "model.ckpt"),
-                   "--vocab", str(d / "vocab.txt"),
-                   "--gold", f"ctb={tmp_path / 'long.txt'}", expect=3)
-    assert "lines" in proc.stderr
+    vocab = Vocab.load(d / "vocab.txt")
+    model_args = ["--checkpoint", str(d / "model.ckpt"), "--vocab", str(d / "vocab.txt")]
+    sentence = {"ctb": "李娜 进入 半决赛", "pku": "李 娜 进入 半 决赛"}
+    gold_args = []
+    for name, words in sentence.items():
+        gold = "".join(" ".join([words] * n) + "\n" for n in (5, 6, 10, 1))  # 35, 42, 70, 7 tokens
+        (tmp_path / f"{name}.gold").write_text(gold, encoding="utf-8")
+        (tmp_path / f"{name}.raw").write_text(gold.replace(" ", ""), encoding="utf-8")
+        gold_args += ["--gold", f"{name}={tmp_path / f'{name}.gold'}"]
+    report = tmp_path / "report.jsonl"
+    run_cli("evaluate", *model_args, *gold_args, "--report", str(report))
+    f1 = {r["criterion"]: r["f1"] for r in map(json.loads, report.read_text().splitlines())}
+
+    def spans(text):
+        return [cp.prepare_sentence(RawSentence(line.split()), vocab).gold_spans
+                for line in text.splitlines()]
+
+    for name in sentence:
+        proc = run_cli("segment", *model_args, "--criterion", name,
+                       "--input", str(tmp_path / f"{name}.raw"))
+        assert re.findall(r"note: line (\d+) ", proc.stderr) == ["1", "2", "3"]
+        gold = (tmp_path / f"{name}.gold").read_text(encoding="utf-8")
+        assert f1[name] == f1_score(spans(gold), spans(proc.stdout)).f1
+        assert f1[name] < 1.0  # a cut after 31 tokens splits a word
 
 
 @pytest.mark.parametrize("command", ["evaluate", "train"])
-def test_overlong_gold_or_dev_line_names_file_and_criterion(trained, tmp_path, command):
-    # the second of two files holds the over-long line, at file line 6 and
-    # non-blank line 2; the refusal names that file and its criterion
+def test_overlong_gold_or_dev_line_is_decoded(trained, tmp_path, command):
+    # the second of two files holds a line longer than max_len - 1 tokens;
+    # evaluate scores it and train evaluates its dev set on it, in windows
     d = trained
     long = tmp_path / "long.txt"
     long.write_text("\n\n李 娜\n\n\n" + " ".join(["李娜"] * 40) + "\n", encoding="utf-8")
@@ -446,14 +468,34 @@ def test_overlong_gold_or_dev_line_names_file_and_criterion(trained, tmp_path, c
     files = [option, f"ctb={d / 'ctb.txt'}", option, f"pku={long}"]
     if command == "evaluate":
         proc = run_cli("evaluate", "--checkpoint", str(d / "model.ckpt"),
-                       "--vocab", str(d / "vocab.txt"), *files, expect=3)
+                       "--vocab", str(d / "vocab.txt"), *files)
+        assert [line.split()[0] for line in proc.stdout.splitlines()[1:]] == ["ctb", "pku", "avg"]
     else:
         proc = run_cli("train", "--corpus", f"ctb={d / 'ctb.txt'}",
                        "--vocab", str(d / "vocab.txt"), "--out", str(tmp_path / "x.ckpt"),
-                       "--max-len", "32", *files, expect=3)
+                       "--epochs", "1", "--d-h", "16", "--d-e", "8", "--layers", "1",
+                       "--heads", "2", "--d-ff", "32", "--max-len", "32", *files)
+        assert "best dev mean F1: " in proc.stdout and (tmp_path / "x.ckpt").exists()
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("option", ["corpus", "dev", "gold"])
+def test_empty_file_is_refused_naming_file_and_criterion(trained, tmp_path, option):
+    # a blank --dev file used to drop its criterion from the dev mean F1,
+    # which selects the checkpoint, and a blank --corpus file went unnoticed
+    d = trained
+    blank = tmp_path / "blank.txt"
+    blank.write_text("\n  \n", encoding="utf-8")
+    files = [f"--{option}", f"ctb={d / 'ctb.txt'}", f"--{option}", f"pku={blank}"]
+    if option == "gold":
+        proc = run_cli("evaluate", "--checkpoint", str(d / "model.ckpt"),
+                       "--vocab", str(d / "vocab.txt"), *files, expect=3)
+    else:
+        corpus = ["--corpus", f"ctb={d / 'ctb.txt'}"] if option == "dev" else []
+        proc = run_cli("train", *corpus, "--vocab", str(d / "vocab.txt"),
+                       "--out", str(tmp_path / "x.ckpt"), *files, expect=3)
         assert not (tmp_path / "x.ckpt").exists()
-    assert (f"error: {long} (criterion 'pku'): 1 sentence(s) exceed 31 tokens:"
-            " non-blank lines [2]") in proc.stderr
+    assert f"error: {blank} (criterion 'pku'): no sentences" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 

@@ -606,34 +606,95 @@ def test_segment_agrees_with_batched_prediction(vocab, monkeypatch):
 
 
 def test_segment_words_follow_predict_labels(vocab, monkeypatch):
-    # segment_text has no decode of its own: it cuts the text where the
-    # labels predict returns say, with every window of a line in one call
-    m = tiny_model(vocab, max_len=4)  # windows of at most 3 tokens
+    # segment_text has no decode of its own: it cuts each text where the
+    # labels predict returns for it say, whitespace ends a word, and every
+    # text goes to predict in one call with its tokens' spans
+    m = tiny_model(vocab, max_len=4)
     calls = []
-    chosen = {3: [cp.S, cp.B, cp.E], 1: [cp.S]}
+    chosen = {7: [cp.S, cp.B, cp.E, cp.S, cp.B, cp.E, cp.S], 0: []}
 
-    def predict(sentences, vocab):
-        calls.append(sentences)
+    def predict(sentences, vocab, token_spans):
+        calls.append((sentences, token_spans))
         return [np.array(chosen[len(s)]) for s in sentences], np.zeros(len(sentences), np.int64)
 
     monkeypatch.setattr(m, "predict", predict)
     assert m.segment_text(["李娜进入半决赛"], "pku", vocab) == [["李", "娜进", "入", "半决", "赛"]]
-    chosen[3] = [cp.B, cp.M, cp.E]
+    chosen[7] = [cp.B, cp.M, cp.E, cp.B, cp.M, cp.E, cp.S]
     assert m.segment_text(["李娜进入半决赛"], "pku", vocab) == [["李娜进", "入半决", "赛"]]
-    assert m.segment_text(["李 娜进入"], "pku", vocab) == [["李", "娜进入"]]  # windowed at the gap
+    chosen[4] = [cp.B, cp.M, cp.M, cp.E]
+    assert m.segment_text(["李 娜进入"], "pku", vocab) == [["李", "娜进入"]]  # split at the gap
     assert len(calls) == 3
-    # the windows of several texts, empty ones included, go in one call
     assert m.segment_text(["李 娜进入", "", " ", "李娜进入半决赛"], "pku", vocab) == \
         [["李", "娜进入"], [], [], ["李娜进", "入半决", "赛"]]
     assert len(calls) == 4
-    assert [s.tokens for s in calls[3]] == [["李"], ["娜", "进", "入"], ["李", "娜", "进"],
-                                           ["入", "半", "决"], ["赛"]]
-    windows = calls[0]
-    assert [s.tokens for s in windows] == [["李", "娜", "进"], ["入", "半", "决"], ["赛"]]
-    for s in windows:
+    sentences, token_spans = calls[3]
+    assert [s.tokens for s in sentences] == [list("李娜进入"), [], [], list("李娜进入半决赛")]
+    assert token_spans == [[(0, 1), (2, 3), (3, 4), (4, 5)], [], [], [(i, i + 1) for i in range(7)]]
+    for s in sentences:
         assert s.criterion_id == vocab.criteria["pku"] and s.gold_spans is None
-        assert s.chars == [vocab.uni_id(t) for t in s.tokens]
-        assert s.bigrams == cp.make_bigrams(s.tokens, vocab)
+
+
+def test_predict_decodes_overlong_sentences_in_windows(vocab, monkeypatch):
+    # a sentence of more than max_len - 1 tokens is cut at the last gap its
+    # token spans show, or after max_len - 1 tokens; each window is indexed
+    # anew, so its first bigram is <bos>, and every window of every sentence
+    # goes into one batched call with the sentences that fit
+    m = tiny_model(vocab, max_len=4)  # windows of at most 3 tokens
+    packed = []
+
+    def recording_pack(sentences, vocab):
+        packed.append(sentences)
+        return pack_inputs(sentences, vocab)
+
+    monkeypatch.setattr(model_mod, "pack_inputs", recording_pack)
+    short = cp.index_sentence(["入"], vocab, 0)
+    hard = cp.index_sentence(list("李娜进入半决赛"), vocab, 1)
+    gapped = cp.index_sentence(list("娜进入半"), vocab, 0)
+    spans = [[(0, 1)], [(i, i + 1) for i in range(7)], [(0, 1), (2, 3), (3, 4), (4, 5)]]
+    for token_spans, gapped_windows in ((spans, [["娜"], ["进", "入", "半"]]),
+                                        (None, [["娜", "进", "入"], ["半"]])):
+        packed.clear()
+        labels, criteria = m.predict([short, hard, gapped], vocab, token_spans)
+        assert [len(x) for x in labels] == [1, 7, 4] and criteria.shape == (3,)
+        assert len(packed) == 1
+        windows = {0: [["入"]], 1: [["李", "娜", "进"], ["入", "半", "决"], ["赛"]],
+                   2: gapped_windows}
+        assert sorted(s.tokens for s in packed[0]) == sorted(w for ws in windows.values() for w in ws)
+        assert [len(s) for s in packed[0]] == sorted(len(s) for s in packed[0])
+        for s in packed[0]:
+            owner = next(i for i, ws in windows.items() if s.tokens in ws)
+            assert s.criterion_id == (0, 1, 0)[owner] and s.gold_spans is None
+            assert s.chars == [vocab.uni_id(t) for t in s.tokens]
+            assert s.bigrams == cp.make_bigrams(s.tokens, vocab)
+
+
+def test_windowed_labels_decode_as_their_windows(vocab):
+    # an untrained model's labels are often invalid BMES; decode_bmes of an
+    # over-long sentence's labels equals its windows decoded one by one, also
+    # where a window ends in B or in M, and its criterion is its first window's
+    m = tiny_model(vocab, max_len=6)  # windows of at most 5 tokens
+    m.params["dec.w_o"].data[:] = make_rng(9).normal(size=(4, 16))
+    rng = random.Random(3)
+    window_ends = Counter()
+    for k in range(40):
+        text = "".join(rng.choice("李娜进入半决赛 ") for _ in range(rng.randint(6, 30))).strip()
+        toks = cp.text_tokens(text)
+        if len(toks) <= 5:
+            continue
+        spans = [span for _, span in toks] if k % 2 else [(i, i + 1) for i in range(len(toks))]
+        sent = cp.index_sentence([t for t, _ in toks], vocab, k % 2)
+        labels, criteria = m.predict([sent], vocab, [spans])
+        expected, first = [], None
+        for lo, hi in text_windows(spans, 5):
+            window = cp.index_sentence(sent.tokens[lo:hi], vocab, k % 2)
+            window_labels, window_criteria = m.predict([window], vocab)
+            if hi < len(sent):
+                window_ends[cp.LABELS[window_labels[0][-1]]] += 1
+            expected += [(lo + s, lo + e) for s, e in cp.decode_bmes(window_labels[0].tolist())]
+            first = window_criteria[0] if first is None else first
+        assert cp.decode_bmes(labels[0].tolist()) == expected
+        assert criteria[0] == first
+    assert window_ends["B"] and window_ends["M"], window_ends
 
 
 def test_segment_and_predict_never_pack_training_batches(vocab, monkeypatch):
@@ -926,7 +987,7 @@ def test_readers_refuse_mutated_files_with_data_or_config_errors(tmp_path, vocab
     # each outcome is a loaded object, a DataError or a ConfigError, never
     # another exception; a vocab that loads has dense ids and reads back, and
     # a corpus that loads is prepared for training and evaluation at max_len
-    # 8, so one more token on a 7-token line is an over-long line
+    # 8: training splits a line of more than 7 tokens, evaluation keeps it whole
     vocab_path, ckpt_path, path = tmp_path / "vocab.txt", tmp_path / "m.ckpt", tmp_path / "bad"
     corpus_path = tmp_path / "corpus.txt"
     vocab.save(vocab_path)

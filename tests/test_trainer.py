@@ -70,11 +70,14 @@ def test_prepare_for_training_splits_long():
     assert [len(s) for s in sents] == [4, 2]
 
 
-def test_prepare_for_eval_rejects_long():
+def test_prepare_for_eval_keeps_long_sentences_whole():
+    # predict decodes an over-long sentence in windows, so evaluation neither
+    # splits nor refuses it
     vocab = Vocab.build({"x": [RawSentence(["天张", "地寒", "玄来"], 0)]})
     raws = [RawSentence(["天张"], 0), RawSentence(["天张", "地寒", "玄来"], 0)]
-    with pytest.raises(DataError, match="non-blank lines \\[2\\]"):
-        tr.prepare_for_eval(raws, vocab, max_len=5)
+    sents = tr.prepare_for_eval(raws, vocab, max_len=5)  # fits 4 tokens
+    assert [len(s) for s in sents] == [2, 6]
+    assert sents[1].gold_spans == [(0, 2), (2, 4), (4, 6)]
 
 
 # -- training loop ------------------------------------------------------------------
