@@ -187,10 +187,15 @@ class Tensor:
         return out
 
     def sigmoid(self) -> "Tensor":
-        # stable two-branch logistic
-        x = self.data
-        z = np.exp(-np.abs(x))
-        y = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+        """The logistic function as 0.5 (1 + tanh(x / 2)), which needs no
+        branch on the sign of x: tanh saturates to +-1 where exp would
+        overflow. It is within about one unit in the last place of 1 of
+        1 / (1 + exp(-x)), absolutely; far below 0 the result is a multiple
+        of that unit's half, not a tiny positive number."""
+        y = self.data * 0.5
+        np.tanh(y, out=y)
+        y += 1.0
+        y *= 0.5
         out = _node(y, (self,))
         if out._parents:
             out._backward = lambda: self._accum(out.grad * y * (1.0 - y), owned=True)
@@ -250,23 +255,39 @@ LAYER_NORM_EPS = 1e-12
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply an
     elementwise affine gain and bias. The variance's epsilon is
-    LAYER_NORM_EPS in every precision."""
-    # the centred values serve the variance (as ndarray.var computes it) and xhat
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    LAYER_NORM_EPS in every precision.
+
+    Every reduction is a product with a vector, which BLAS makes in one
+    pass: each row's mean with 1/d, its variance as the dot product of its
+    centred values with themselves, and in backward the row means with the
+    gain and the gain's and bias's column sums with ones."""
+    shape = x.data.shape
+    d = shape[-1]
+    rows = x.data.reshape(-1, d)
+    xhat = rows - np.matmul(rows, np.full(d, 1.0 / d, dtype=rows.dtype))[:, None]
+    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat)[:, None] / d + LAYER_NORM_EPS)
     xhat *= inv
-    out = _node(xhat * gain.data + bias.data, (x, gain, bias))
+    y = xhat * gain.data
+    y += bias.data
+    out = _node(y.reshape(shape), (x, gain, bias))
     if out._parents:
         def back():
-            g = out.grad
-            lead = tuple(range(g.ndim - 1))
-            gain._accum((g * xhat).sum(axis=lead), owned=True)
-            bias._accum(g.sum(axis=lead), owned=True)
+            g = out.grad.reshape(-1, d)
+            ones = np.ones(len(g), dtype=g.dtype)
+            g_xhat = g * xhat
+            gain._accum(np.matmul(ones, g_xhat), owned=True)
+            bias._accum(np.matmul(ones, g), owned=True)
             if x.requires_grad:
+                # dx = (g gain - rowmean(g gain) - xhat rowmean(g gain xhat)) inv
+                gain_d = gain.data / d
+                mean_g = np.matmul(g, gain_d)[:, None]
+                mean_gx = np.matmul(g_xhat, gain_d)[:, None]
                 gx = g * gain.data
-                x._accum((gx - gx.mean(axis=-1, keepdims=True)
-                          - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) * inv,
-                         owned=True)
+                gx -= mean_g
+                np.multiply(xhat, mean_gx, out=g_xhat)
+                gx -= g_xhat
+                gx *= inv
+                x._accum(gx.reshape(shape), owned=True)
         out._backward = back
     return out
 
@@ -437,14 +458,18 @@ def _unshifted_softmax_is_safe(qs, k, v, heads: int, length: int) -> bool:
     return math.sqrt(sq_bound) < limit
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None,
-            rows: Rows) -> Tensor:
-    """Zero each element with probability p and rescale survivors by 1/(1-p)
-    in training mode; identity in eval mode.
+def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None) -> Tensor:
+    """Zero each element of x with probability p in training mode and scale
+    the survivors so that each element's expected value is its input;
+    identity in eval mode.
 
-    x holds the real rows [rows.count, *features] of a padded array: the
-    mask is drawn over the padded shape and its real rows kept, so the
-    generator advances as it would over the padded array.
+    The mask takes one 32-bit draw per element of x, two from each 64-bit
+    output of rng's bit generator (low half first), and keeps the elements
+    whose draw is at least ceil(p * 2^32). Survivors are scaled by the
+    inverse of that keep probability, 2^32 / (2^32 - ceil(p * 2^32)), which
+    is 1 / (1 - p) up to one part in 2^32. The mask depends only on rng's
+    state and x's size (an odd size leaves the last high half unused), so
+    packed rows draw only for their real positions.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability {p} outside [0, 1)")
@@ -452,8 +477,11 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    kept = rows.pack(rng.random(rows.shape + x.data.shape[1:]) >= p)
-    keep = kept.astype(x.data.dtype) / (1.0 - p)
+    cut = min(math.ceil(p * 2.0**32), 2**32 - 1)  # below 2^32 unless p is within 2^-32 of 1
+    n = x.data.size
+    draws = rng.bit_generator.random_raw((n + 1) // 2).astype("<u8", copy=False).view("<u4")
+    keep = (draws[:n] >= cut).astype(x.data.dtype).reshape(x.data.shape)
+    keep *= 2.0**32 / (2**32 - cut)
     out = _node(x.data * keep, (x,))
     if out._parents:
         out._backward = lambda: x._accum(out.grad * keep, owned=True)
@@ -469,8 +497,13 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     out = _node(table.data[ids], (table,))
     if out._parents:
         def back():
+            # a 1-D scatter into the flat table: each element receives the
+            # same additions, in the same order, as a scatter of whole rows,
+            # and the 1-D ufunc.at loop is several times faster
+            d = table.data.shape[1]
             g = np.zeros_like(table.data)
-            np.add.at(g, ids.ravel(), out.grad.reshape(-1, table.data.shape[1]))
+            np.add.at(g.reshape(-1), (ids.reshape(-1, 1) * d + np.arange(d)).ravel(),
+                      out.grad.reshape(-1))
             table._accum(g, owned=True)
         out._backward = back
     return out

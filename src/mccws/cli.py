@@ -42,7 +42,9 @@ def load_criterion_corpora(pairs, vocab: cp.Vocab, option: str, prepare,
     """The NAME=PATH pairs of --option, each read as its criterion's corpus
     and prepared by prepare(raws, vocab, max_len), a trainer.prepare_for_*
     function. A file with no sentences is refused; a refusal names the
-    file and its criterion."""
+    file and its criterion. A file with prepared sentences of more than
+    max_len - 1 tokens, which predict decodes in windows, gets one note on
+    stderr that counts them."""
     corpora = {}
     for name, path in parse_pairs(pairs, option).items():
         raws = cp.load_corpus(path, vocab.criterion_id(name))
@@ -52,6 +54,11 @@ def load_criterion_corpora(pairs, vocab: cp.Vocab, option: str, prepare,
             corpora[name] = prepare(raws, vocab, max_len)
         except DataError as exc:
             raise DataError(f"{path} (criterion {name!r}): {exc}") from exc
+        windowed = sum(len(sent) > max_len - 1 for sent in corpora[name])
+        if windowed:
+            click.echo(f"note: {path} (criterion {name!r}): {windowed} line(s) have more than"
+                       f" {max_len - 1} tokens; they are decoded in windows of at most that many",
+                       err=True)
     return corpora
 
 

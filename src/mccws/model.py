@@ -34,8 +34,11 @@ from .errors import ConfigError, DataError
 # 516, 485 and 451 sent/s at 2^16 to 2^20 cells (medians of 40 in-process
 # rounds, on a slower day of the host than earlier sizings). 2^17 beat 2^18
 # in 22 of 40 rounds and every other size in at most 5, so the cap stays at
-# 2^18. Those sizings ran a float64 model; a float32 model's score array
-# takes half the bytes per cell, and the cap has not been measured for it.
+# 2^18. Those sizings ran a float64 model. On a float32 model (same lines and
+# host, 20 alternating rounds of 3 predict passes, run twice) 2^16 to 2^20
+# ran 931, 1220, 1433, 1493 and 1326 sent/s (medians of the second run);
+# 2^19 won 12 of 20 rounds both times and 2^18 at most 5, with identical
+# labels at every size. No size won clearly, so the cap stays at 2^18.
 SCORE_CELLS = 1 << 18
 # predict also stops a batch at this many sentences. With SCORE_CELLS as the
 # only limit, short sentences batch by the hundred and run slower: perfbench's
@@ -204,8 +207,8 @@ class Model:
         ctx = attention(q, k, v, rows, self.config.heads)
         return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
-    def _drop(self, x: Tensor, rows: Rows, training: bool, rng) -> Tensor:
-        return dropout(x, self.config.dropout_p, training, rng, rows=rows)
+    def _drop(self, x: Tensor, training: bool, rng) -> Tensor:
+        return dropout(x, self.config.dropout_p, training, rng)
 
     # -- encoder ---------------------------------------------------------------
 
@@ -223,14 +226,14 @@ class Model:
             raise DataError(f"sequence length {L} exceeds max_len {self.config.max_len}")
         tok = embedding_lookup(p["tok_emb"], rows.pack(ids))
         pos = embedding_lookup(p["pos_emb"], rows.pack(np.broadcast_to(np.arange(L), (B, L))))
-        h = self._drop(tok + pos, rows, training, rng)
+        h = self._drop(tok + pos, training, rng)
         for i in range(self.config.encoder_layers):
             a = self._mha(h, f"enc{i}.attn", rows)
-            h = layer_norm(h + self._drop(a, rows, training, rng),
+            h = layer_norm(h + self._drop(a, training, rng),
                            p[f"enc{i}.ln1.gain"], p[f"enc{i}.ln1.bias"])
             f = linear(linear(h, p[f"enc{i}.ffn.w1"], p[f"enc{i}.ffn.b1"]).relu(),
                        p[f"enc{i}.ffn.w2"], p[f"enc{i}.ffn.b2"])
-            h = layer_norm(h + self._drop(f, rows, training, rng),
+            h = layer_norm(h + self._drop(f, training, rng),
                            p[f"enc{i}.ln2.gain"], p[f"enc{i}.ln2.bias"])
         return h
 
@@ -260,7 +263,7 @@ class Model:
         character rows [rows.count, d_h]; no feed-forward of its own."""
         p = self.params
         a = self._mha(fused, "ctx.attn", rows)
-        return layer_norm(fused + self._drop(a, rows, training, rng),
+        return layer_norm(fused + self._drop(a, training, rng),
                           p["ctx.ln.gain"], p["ctx.ln.bias"])
 
     # -- decoders ----------------------------------------------------------------------

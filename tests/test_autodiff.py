@@ -211,6 +211,20 @@ def test_linear_refuses_bad_shapes():
         linear(Tensor(np.ones((4, 3))), Tensor(np.ones((5, 3))), Tensor(np.ones(3)))
 
 
+# -- sigmoid -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 2e-7), (np.float64, 1e-15)])
+def test_sigmoid_at_extreme_inputs(dtype, tol):
+    x = np.array([-1e4, -88.0, -20.0, 0.0, 20.0, 88.0, 1e4], dtype=dtype)
+    y = Tensor(x).sigmoid().data
+    assert y.dtype == dtype
+    assert np.isfinite(y).all() and (y >= 0.0).all() and (y <= 1.0).all()
+    with np.errstate(over="ignore"):
+        expected = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+    assert np.abs(y - expected).max() <= tol
+    assert y[3] == 0.5
+
+
 # -- layer_norm --------------------------------------------------------------------
 
 def test_layer_norm_constant_row_collapses():
@@ -261,24 +275,20 @@ def test_layer_norm_grad():
 
 # -- dropout -----------------------------------------------------------------------
 
-def every_row(n):
-    return Rows(np.ones(n, dtype=bool))
-
-
 def test_dropout_p_zero_identity():
     x = Tensor([1.0, 2.0, 3.0])
-    assert dropout(x, 0.0, training=True, rng=make_rng(0), rows=every_row(3)) is x
+    assert dropout(x, 0.0, training=True, rng=make_rng(0)) is x
 
 
 def test_dropout_eval_identity():
     x = Tensor([1.0, 2.0, 3.0])
-    assert dropout(x, 0.9, training=False, rng=None, rows=every_row(3)) is x
+    assert dropout(x, 0.9, training=False, rng=None) is x
 
 
 def test_dropout_statistics():
     rng = make_rng(5)
     x = Tensor(np.ones(10_000))
-    y = dropout(x, 0.5, training=True, rng=rng, rows=every_row(10_000)).data
+    y = dropout(x, 0.5, training=True, rng=rng).data
     zero_frac = float((y == 0).mean())
     assert 0.48 <= zero_frac <= 0.52
     assert abs(y.mean() - 1.0) <= 0.05
@@ -286,30 +296,51 @@ def test_dropout_statistics():
 
 def test_dropout_invalid_p():
     with pytest.raises(ValueError):
-        dropout(Tensor([1.0]), 1.0, training=True, rng=make_rng(0), rows=every_row(1))
+        dropout(Tensor([1.0]), 1.0, training=True, rng=make_rng(0))
 
 
 def test_dropout_grad_with_frozen_mask():
     x = parameter(np.linspace(-1, 1, 12).reshape(3, 4))
 
     def loss_fn():
-        y = dropout(x, 0.25, training=True, rng=make_rng(77), rows=every_row(3))
+        y = dropout(x, 0.25, training=True, rng=make_rng(77))
         return (y * y).sum().item()
 
-    y = dropout(x, 0.25, training=True, rng=make_rng(77), rows=every_row(3))
+    y = dropout(x, 0.25, training=True, rng=make_rng(77))
     backward((y * y).sum())
     assert_grads_match(loss_fn, [x])
 
 
-def test_dropout_over_real_rows_draws_the_padded_mask():
-    # the mask of packed rows is the padded mask's real rows: same rng stream
-    valid = np.array([[True, True, False], [True, False, False]])
-    for rows in (Rows(valid), Rows(np.ones((2, 3), dtype=bool))):
-        padded = make_rng(0).normal(size=rows.shape + (4,))
-        y = dropout(Tensor(rows.pack(padded)), 0.5, training=True, rng=make_rng(12),
-                    rows=rows).data
-        kept = make_rng(12).random(padded.shape) >= 0.5
-        assert np.array_equal(y, rows.pack(padded * (kept.astype(np.float64) / 0.5)))
+def test_dropout_mask_depends_on_seed_and_element_count_only():
+    # one 32-bit draw per element of the packed real rows, low half of each
+    # 64-bit output first, whatever the dtype or the values: a padded batch
+    # draws nothing for its padding
+    def mask(values, seed):
+        y = dropout(Tensor(values), 0.5, training=True, rng=make_rng(seed)).data
+        assert y.dtype == values.dtype
+        assert np.allclose(y[y != 0], 2.0 * values[y != 0], rtol=1e-6)  # 2^32 / 2^31
+        return y != 0
+
+    x = make_rng(0).uniform(1.0, 2.0, size=(5, 4))  # no element is 0
+    raw = make_rng(12).bit_generator.random_raw(11)
+    expected = (raw[:10].astype("<u8").view("<u4") >= 2**31).reshape(5, 4)  # ceil(0.5 * 2^32)
+    for dtype in (np.float32, np.float64):
+        for values in (x, -3.0 * x):
+            assert np.array_equal(mask(values.astype(dtype), 12), expected)
+        assert not np.array_equal(mask(x.astype(dtype), 13), expected)
+    # the generator moves on by the 20 real elements' 10 outputs and no more
+    rng = make_rng(12)
+    dropout(Tensor(x), 0.5, training=True, rng=rng)
+    assert rng.bit_generator.random_raw() == raw[10]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("p", [0.1, 0.5])
+def test_dropout_rate_and_mean_over_many_elements(dtype, p):
+    x = make_rng(7).uniform(0.5, 1.5, size=(1000, 100)).astype(dtype)
+    y = dropout(Tensor(x), p, training=True, rng=make_rng(8)).data
+    assert abs(float((y == 0).mean()) - p) <= 0.01
+    assert abs(float(y.mean(dtype=np.float64)) - float(x.mean(dtype=np.float64))) <= 0.02
 
 
 # -- row gather ---------------------------------------------------------------------
@@ -583,6 +614,23 @@ def test_embedding_repeated_rows_accumulate():
     assert np.allclose(table.grad[2], 4.0 * table.data[2])  # both gathers contribute
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embedding_grad_is_the_row_scatter_bit_for_bit(dtype):
+    # repeated ids accumulate in order and unused rows stay 0, exactly as a
+    # zeroed table plus a 2-D np.add.at of whole rows
+    rng = make_rng(9)
+    table = parameter(rng.normal(size=(11, 6)).astype(dtype))
+    ids = np.array([[3, 0, 3], [7, 3, 0]])  # rows 1, 2, 4-6 and 8-10 unused
+    out = embedding_lookup(table, ids)
+    g = rng.normal(size=out.data.shape).astype(dtype)
+    backward((out * Tensor(g)).sum())
+    expected = np.zeros((11, 6), dtype=dtype)
+    np.add.at(expected, ids.ravel(), g.reshape(-1, 6))
+    assert table.grad.dtype == dtype
+    assert table.grad.tobytes() == expected.tobytes()
+    assert not table.grad[[1, 2, 4, 5, 6, 8, 9, 10]].any()
+
+
 def test_embedding_empty_ids():
     table = parameter(np.ones((4, 3)))
     assert embedding_lookup(table, []).data.shape == (0, 3)
@@ -727,7 +775,7 @@ def every_op_graph(seed):
         h = layer_norm(h.tanh() + h.relu(), g, bias)
         h = h * gather_rows(padded, rows)
         h = attention(linear(h, wq), h, h + h, rows, 2)
-        h = dropout(h, 0.25, True, make_rng(seed), rows)
+        h = dropout(h, 0.25, True, make_rng(seed))
         h = h * gather_rows(whole, dense)
         return cross_entropy(h, targets) + (h * h).sum() * 0.5
 

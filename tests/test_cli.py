@@ -476,7 +476,11 @@ def test_overlong_gold_or_dev_line_is_decoded(trained, tmp_path, command):
                        "--epochs", "1", "--d-h", "16", "--d-e", "8", "--layers", "1",
                        "--heads", "2", "--d-ff", "32", "--max-len", "32", *files)
         assert "best dev mean F1: " in proc.stdout and (tmp_path / "x.ckpt").exists()
-    assert "Traceback" not in proc.stderr
+    # one note for the file with the long line, none for the other
+    assert re.findall(r"^note: .*$", proc.stderr, re.M) == [
+        f"note: {long} (criterion 'pku'): 1 line(s) have more than 31 tokens;"
+        " they are decoded in windows of at most that many"]
+    assert "note" not in proc.stdout and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("option", ["corpus", "dev", "gold"])
