@@ -205,7 +205,13 @@ class Tensor:
         y = np.maximum(self.data, 0.0)
         out = _node(y, (self,))
         if out._parents:
-            out._backward = lambda: self._accum(out.grad * (self.data > 0), owned=True)
+            def back():
+                # the mask in the gradient's dtype, multiplied in place: times
+                # a bool mask, numpy casts every element
+                g = (self.data > 0).astype(out.grad.dtype)
+                g *= out.grad
+                self._accum(g, owned=True)
+            out._backward = back
         return out
 
 

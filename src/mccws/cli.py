@@ -62,24 +62,6 @@ def load_criterion_corpora(pairs, vocab: cp.Vocab, option: str, prepare,
     return corpora
 
 
-# every option that sets a config field takes its default from that field
-model_options = [
-    click.option("--d-h", default=ModelConfig.d_h, show_default=True, help="Hidden size."),
-    click.option("--d-e", default=ModelConfig.d_e, show_default=True, help="Bigram embedding size."),
-    click.option("--layers", default=ModelConfig.encoder_layers, show_default=True,
-                 help="Encoder layers."),
-    click.option("--heads", default=ModelConfig.heads, show_default=True, help="Attention heads."),
-    click.option("--d-ff", default=ModelConfig.d_ff, show_default=True,
-                 help="Feed-forward inner size."),
-    click.option("--max-len", default=ModelConfig.max_len, show_default=True,
-                 help="Max sequence length (with criterion token)."),
-    click.option("--dropout", default=ModelConfig.dropout_p, show_default=True,
-                 help="Dropout probability."),
-    click.option("--no-bigram", is_flag=True, default=not ModelConfig.use_bigram,
-                 help="Disable the bigram feature channel."),
-]
-
-
 def line_blocks(binary, encoding: str, translate: bool):
     """The lines of a byte stream, without their newlines, in blocks of at
     most BATCH_SENTENCES lines. A block's first line may wait for input;
@@ -112,14 +94,6 @@ def line_blocks(binary, encoding: str, translate: bool):
             lines.extend(done)
             if eof and tail:
                 lines.append(tail)
-
-
-def add_options(options):
-    def wrap(fn):
-        for opt in reversed(options):
-            fn = opt(fn)
-        return fn
-    return wrap
 
 
 @click.group()
@@ -157,7 +131,19 @@ def cmd_build_vocab(corpora, out):
 @click.option("--weight-decay", default=tr.TrainConfig.weight_decay, show_default=True)
 @click.option("--eval-every", default=tr.TrainConfig.eval_every, show_default=True)
 @click.option("--seed", default=tr.TrainConfig.seed, show_default=True)
-@add_options(model_options)
+@click.option("--d-h", default=ModelConfig.d_h, show_default=True, help="Hidden size.")
+@click.option("--d-e", default=ModelConfig.d_e, show_default=True, help="Bigram embedding size.")
+@click.option("--layers", default=ModelConfig.encoder_layers, show_default=True,
+              help="Encoder layers.")
+@click.option("--heads", default=ModelConfig.heads, show_default=True, help="Attention heads.")
+@click.option("--d-ff", default=ModelConfig.d_ff, show_default=True,
+              help="Feed-forward inner size.")
+@click.option("--max-len", default=ModelConfig.max_len, show_default=True,
+              help="Max sequence length (with criterion token).")
+@click.option("--dropout", default=ModelConfig.dropout_p, show_default=True,
+              help="Dropout probability.")
+@click.option("--no-bigram", is_flag=True, default=not ModelConfig.use_bigram,
+              help="Disable the bigram feature channel.")
 def cmd_train(corpora, dev_corpora, vocab_path, out, metrics_log,
               epochs, batch_size, lr, warmup_ratio, weight_decay, eval_every, seed,
               d_h, d_e, layers, heads, d_ff, max_len, dropout, no_bigram):

@@ -7,6 +7,7 @@ character, with Latin/digit runs collapsed to ``<eng>``/``<num>``) plus gold
 word spans in token coordinates.
 """
 
+import bisect
 import contextlib
 import errno
 import hashlib
@@ -250,27 +251,21 @@ def load_corpus(path, criterion_id: int = 0) -> list[RawSentence]:
     return sentences
 
 
-def split_long(raw: RawSentence, max_tokens: int) -> list[RawSentence]:
-    """Split an over-long sentence at word boundaries into chunks whose
-    preprocessed token count fits max_tokens. A single word longer than the
-    limit cannot be split and raises DataError."""
-    lengths = [len(word_tokens(w)) for w in raw.words]
-    if sum(lengths) <= max_tokens:
-        return [raw]
-    chunks = []
-    cur: list[str] = []
-    cur_len = 0
-    for w, wlen in zip(raw.words, lengths):
-        if wlen > max_tokens:
-            raise DataError(f"word {w!r} alone exceeds the {max_tokens}-token limit")
-        if cur and cur_len + wlen > max_tokens:
-            chunks.append(RawSentence(words=cur, criterion_id=raw.criterion_id))
-            cur, cur_len = [], 0
-        cur.append(w)
-        cur_len += wlen
-    if cur:
-        chunks.append(RawSentence(words=cur, criterion_id=raw.criterion_id))
-    return chunks
+def windows(length: int, cuts: list[int], limit: int) -> list[tuple[int, int]]:
+    """Cut [0, length) into consecutive (start, stop) windows of at most
+    limit tokens. Each window ends at the last position of cuts (ascending)
+    that it reaches, or after limit tokens when it reaches none."""
+    out, start = [], 0
+    while length - start > limit:
+        stop = start + limit
+        k = bisect.bisect_right(cuts, stop)
+        if k and cuts[k - 1] > start:
+            stop = cuts[k - 1]
+        out.append((start, stop))
+        start = stop
+    if start < length:
+        out.append((start, length))
+    return out
 
 
 @dataclass

@@ -325,14 +325,15 @@ class Model:
         runs alone). Gold spans are not read.
 
         A sentence of more than max_len - 1 tokens is decoded in windows that
-        fit, each indexed anew: text_windows of token_spans[i], its tokens'
-        spans in its text, so cuts fall at whitespace gaps (with no
-        token_spans there are none). The last label of each window but the
-        last closes its word (B -> S, M -> E), so decode_bmes of the labels
-        gives the words of the windows decoded one by one. Returns (labels,
-        criteria) in input order: the greedy BMES ids of each sentence's
-        tokens (no CRF), and the criterion classifier's argmax per sentence
-        [N], a windowed one's from its first window.
+        fit, each indexed anew: cp.windows cuts it at the last whitespace
+        gap between token_spans[i], its tokens' spans in its text, or after
+        max_len - 1 tokens (with no token_spans there are no gaps). The last
+        label of each window but the last closes its word (B -> S, M -> E),
+        so decode_bmes of the labels gives the words of the windows decoded
+        one by one. Returns (labels, criteria) in input order: the greedy
+        BMES ids of each sentence's tokens (no CRF), and the criterion
+        classifier's argmax per sentence [N], a windowed one's from its
+        first window.
         """
         limit = self.config.max_len - 1
         pieces = []  # (index of the sentence, the sentence or one of its windows)
@@ -340,9 +341,10 @@ class Model:
             if len(sent) <= limit:
                 pieces.append((i, sent))
             else:
-                spans = token_spans[i] if token_spans else [(t, t + 1) for t in range(len(sent))]
+                sp = token_spans[i] if token_spans else []
+                gaps = [t for t in range(1, len(sp)) if sp[t - 1][1] < sp[t][0]]
                 pieces.extend((i, cp.index_sentence(sent.tokens[lo:hi], vocab, sent.criterion_id))
-                              for lo, hi in text_windows(spans, limit))
+                              for lo, hi in cp.windows(len(sent), gaps, limit))
         sizes = [len(s) for _, s in pieces]
         order = sorted(range(len(pieces)), key=sizes.__getitem__)
         results = [None] * len(pieces)  # (labels, criterion) of each piece
@@ -394,22 +396,6 @@ class Model:
         return [[word for s, e in cp.decode_bmes(x.tolist())
                  for word in text[sp[s][0]:sp[e - 1][1]].split()]
                 for text, sp, x in zip(texts, spans, labels)]
-
-
-def text_windows(spans: list[tuple[int, int]], limit: int) -> list[tuple[int, int]]:
-    """Cut a token sequence, given by each token's span in its text, into
-    consecutive (start, stop) windows of at most limit tokens. Each cut goes
-    at the last whitespace gap inside the window, or after limit tokens when
-    the window has none."""
-    windows, start = [], 0
-    while len(spans) - start > limit:
-        stop = start + limit
-        cut = next((i for i in range(stop, start, -1) if spans[i - 1][1] < spans[i][0]), stop)
-        windows.append((start, cut))
-        start = cut
-    if start < len(spans):
-        windows.append((start, len(spans)))
-    return windows
 
 
 def pack_inputs(sentences: list[cp.Sentence], vocab: cp.Vocab):

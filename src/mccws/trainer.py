@@ -68,11 +68,25 @@ def make_batches(sentences: list[cp.Sentence], batch_size: int,
 
 
 def prepare_for_training(raws: list[cp.RawSentence], vocab: cp.Vocab, max_len: int) -> list[cp.Sentence]:
-    """Over-long sentences are split at word boundaries to fit the model."""
+    """Each sentence prepared once. One of more than max_len - 1 tokens is
+    cut by cp.windows at its gold word starts, each window indexed anew; a
+    word too long for a window is a DataError."""
+    limit = max_len - 1
     out = []
     for raw in raws:
-        for part in cp.split_long(raw, max_len - 1):
-            out.append(cp.prepare_sentence(part, vocab))
+        sent = cp.prepare_sentence(raw, vocab)
+        if len(sent) <= limit:
+            out.append(sent)
+            continue
+        spans, w = sent.gold_spans, 0
+        for lo, hi in cp.windows(len(sent), [s for s, _ in spans], limit):
+            first = w
+            while w < len(spans) and spans[w][1] <= hi:
+                w += 1
+            if w < len(spans) and spans[w][0] < hi:
+                raise DataError(f"word {raw.words[w]!r} alone exceeds the {limit}-token limit")
+            out.append(cp.index_sentence(sent.tokens[lo:hi], vocab, sent.criterion_id,
+                                         [(s - lo, e - lo) for s, e in spans[first:w]]))
     return out
 
 

@@ -514,6 +514,18 @@ def test_train_word_longer_than_max_len_names_file_and_criterion(trained, tmp_pa
     assert "Traceback" not in proc.stderr and not (tmp_path / "x.ckpt").exists()
 
 
+def test_train_refuses_a_word_that_fills_max_len(workdir, tmp_path):
+    # --max-len 3 leaves 2 tokens beside the criterion token; ctb.txt holds
+    # the 3-token word 半决赛, so the cut at gold word starts fails there
+    d = workdir
+    out = tmp_path / "x.ckpt"
+    proc = run_cli("train", "--corpus", f"ctb={d / 'ctb.txt'}", "--vocab", str(d / "vocab.txt"),
+                   "--out", str(out), "--max-len", "3", expect=3)
+    assert proc.stderr == (f"error: {d / 'ctb.txt'} (criterion 'ctb'):"
+                           " word '半决赛' alone exceeds the 2-token limit\n")
+    assert proc.stdout == "" and not out.exists()
+
+
 def test_evaluate_empty_gold_exits_data(trained, tmp_path):
     # a blank gold file used to print a 0.0000 row that dragged down the avg row
     d = trained

@@ -9,7 +9,7 @@ from mccws import corpus
 from mccws.corpus import (
     BOS, ENG, LABELS, NUM, RawSentence, Vocab, decode_bmes, encode_bmes,
     load_corpus, make_bigrams, normalize_width, prepare_sentence,
-    replace_runs, replace_runs_with_spans, split_long, word_tokens,
+    replace_runs, replace_runs_with_spans, windows, word_tokens,
 )
 from mccws.errors import ConfigError, DataError
 from mccws.model import pack_batch
@@ -371,11 +371,17 @@ def test_prepare_sentence_with_runs(vocab):
     assert sent.gold_spans == [(0, 2), (2, 4), (4, 5)]
 
 
-def test_split_long():
-    raw = RawSentence(["李娜", "进入", "半决赛", "了"], 2)
-    parts = split_long(raw, 4)
-    assert [p.words for p in parts] == [["李娜", "进入"], ["半决赛", "了"]]
-    assert all(p.criterion_id == 2 for p in parts)
-    assert split_long(raw, 100) == [raw]
-    with pytest.raises(DataError):
-        split_long(RawSentence(["半决赛"], 0), 2)
+def test_windows_cut_at_last_cut():
+    def gaps(text):  # a text's token count and the whitespace gaps between its tokens
+        spans = [span for _, span in corpus.text_tokens(text)]
+        return len(spans), [t for t in range(1, len(spans)) if spans[t - 1][1] < spans[t][0]]
+    assert windows(*gaps(""), 4) == []
+    assert windows(*gaps("abcd"), 4) == [(0, 1)]  # one <eng> token
+    assert windows(*gaps("李娜进入"), 4) == [(0, 4)]
+    assert windows(*gaps("李娜进入半决赛"), 3) == [(0, 3), (3, 6), (6, 7)]  # no gap: hard cuts
+    assert windows(*gaps("李娜 进入半 决赛"), 4) == [(0, 2), (2, 5), (5, 7)]
+    assert windows(*gaps("李娜进入 半决赛"), 4) == [(0, 4), (4, 7)]  # gap at the window's end
+    # gold word starts as cuts: a cut at 0 is never reached, and one beyond
+    # a window's reach waits for a later window
+    assert windows(7, [0, 2, 4], 4) == [(0, 4), (4, 7)]
+    assert windows(9, [0, 5], 4) == [(0, 4), (4, 5), (5, 9)]

@@ -17,7 +17,7 @@ from mccws.autodiff import Rows, Tensor, backward, make_rng, no_grad, zero_grads
 from mccws.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from mccws.corpus import RawSentence, Vocab, prepare_sentence
 from mccws.errors import ConfigError, DataError
-from mccws.model import Model, ModelConfig, pack_batch, pack_inputs, param_shapes, text_windows
+from mccws.model import Model, ModelConfig, pack_batch, pack_inputs, param_shapes
 from mccws.optim import AdamW
 from mccws.trainer import prepare_for_eval, prepare_for_training
 
@@ -561,15 +561,10 @@ def test_segment_words_rejoin_to_original(vocab):
     assert vocab.uni_id("\udcff") == cp.UNK_ID
 
 
-def test_text_windows_cut_at_last_gap():
-    def spans(text):
-        return [span for _, span in cp.text_tokens(text)]
-    assert text_windows([], 4) == []
-    assert text_windows(spans("abcd"), 4) == [(0, 1)]  # one <eng> token
-    assert text_windows(spans("李娜进入"), 4) == [(0, 4)]
-    assert text_windows(spans("李娜进入半决赛"), 3) == [(0, 3), (3, 6), (6, 7)]  # no gap: hard cuts
-    assert text_windows(spans("李娜 进入半 决赛"), 4) == [(0, 2), (2, 5), (5, 7)]
-    assert text_windows(spans("李娜进入 半决赛"), 4) == [(0, 4), (4, 7)]  # gap at the window's end
+def gap_windows(spans, limit):
+    """predict's windows of a sentence whose tokens have these spans in its text."""
+    return cp.windows(len(spans), [t for t in range(1, len(spans))
+                                   if spans[t - 1][1] < spans[t][0]], limit)
 
 
 def test_segment_agrees_with_batched_prediction(vocab, monkeypatch):
@@ -584,7 +579,7 @@ def test_segment_agrees_with_batched_prediction(vocab, monkeypatch):
              "李娜进入半决赛" * 10, "李娜 进入半决赛 " * 10, " 半决赛李娜进入" * 9)
     for text in texts:
         toks = cp.text_tokens(text)
-        windows = text_windows([span for _, span in toks], m.config.max_len - 1)
+        windows = gap_windows([span for _, span in toks], m.config.max_len - 1)
         windows_seen.add(len(windows))
         for name, cid in vocab.criteria.items():
             sents = [prepare_sentence(RawSentence(["".join(t for t, _ in toks[lo:hi])], cid), vocab)
@@ -685,7 +680,7 @@ def test_windowed_labels_decode_as_their_windows(vocab):
         sent = cp.index_sentence([t for t, _ in toks], vocab, k % 2)
         labels, criteria = m.predict([sent], vocab, [spans])
         expected, first = [], None
-        for lo, hi in text_windows(spans, 5):
+        for lo, hi in gap_windows(spans, 5):
             window = cp.index_sentence(sent.tokens[lo:hi], vocab, k % 2)
             window_labels, window_criteria = m.predict([window], vocab)
             if hi < len(sent):

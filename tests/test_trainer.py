@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mccws.autodiff import backward, make_rng, zero_grads
 from mccws.checkpoint import save_checkpoint
-from mccws.corpus import RawSentence, Vocab
+from mccws import corpus as cp
+from mccws.corpus import RawSentence, Vocab, prepare_sentence, word_tokens
 from mccws.errors import DataError, DivergenceError
 from mccws.model import Model, ModelConfig, pack_batch
 from mccws.optim import AdamW
@@ -68,6 +71,53 @@ def test_prepare_for_training_splits_long():
     raws = [RawSentence(["天张", "地寒", "玄来"], 0)]
     sents = tr.prepare_for_training(raws, vocab, max_len=5)  # fits 4 tokens
     assert [len(s) for s in sents] == [4, 2]
+
+
+def test_prepare_for_training_cuts_at_gold_word_starts():
+    raw = RawSentence(["李娜", "进入", "半决赛", "了"], 2)
+    vocab = Vocab.build({"x": [raw]})
+    parts = tr.prepare_for_training([raw], vocab, max_len=5)  # fits 4 tokens
+    assert [["".join(p.tokens[s:e]) for s, e in p.gold_spans] for p in parts] == \
+        [["李娜", "进入"], ["半决赛", "了"]]
+    assert all(p.criterion_id == 2 for p in parts)
+    assert tr.prepare_for_training([raw], vocab, max_len=101) == [prepare_sentence(raw, vocab)]
+    with pytest.raises(DataError, match="word '半决赛' alone exceeds the 2-token limit"):
+        tr.prepare_for_training([RawSentence(["半决赛"], 0)], vocab, max_len=3)
+
+
+# CJK characters, Latin and digit runs (full-width ones included); adjacent
+# runs of one kind merge, so a word of 1-5 pieces has 1-5 tokens
+_WORD_PIECES = ["李", "娜", "进", "入", "半", "ab", "Xyz", "７", "2024", "Ａ", "Ｑｒ"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(st.lists(st.sampled_from(_WORD_PIECES), min_size=1, max_size=5)
+                      .map("".join), min_size=1, max_size=12),
+       limit=st.integers(2, 12), cid=st.integers(0, 3))
+def test_prepare_for_training_cut_rule(words, limit, cid):
+    raw = RawSentence(words, cid)
+    vocab = Vocab.build({"x": [raw]})
+    whole = prepare_sentence(raw, vocab)
+    sizes = [len(word_tokens(w)) for w in words]
+    if len(whole) > limit and max(sizes) > limit:
+        too_long = words[next(i for i, n in enumerate(sizes) if n > limit)]
+        with pytest.raises(DataError) as info:
+            tr.prepare_for_training([raw], vocab, max_len=limit + 1)
+        assert str(info.value) == f"word {too_long!r} alone exceeds the {limit}-token limit"
+        return
+    pieces = tr.prepare_for_training([raw], vocab, max_len=limit + 1)
+    assert [t for p in pieces for t in p.tokens] == whole.tokens
+    word_sizes = iter(sizes)
+    for k, p in enumerate(pieces):
+        assert 1 <= len(p) <= limit
+        assert p == cp.index_sentence(p.tokens, vocab, cid, p.gold_spans)
+        assert p.bigrams[0] == vocab.bigram_id(cp.BOS + p.tokens[0])
+        bounds = [s for s, _ in p.gold_spans] + [len(p)]
+        assert bounds[0] == 0 and [e for _, e in p.gold_spans] == bounds[1:]
+        assert [e - s for s, e in p.gold_spans] == [next(word_sizes) for _ in p.gold_spans]
+        if k + 1 < len(pieces):  # the next gold word would not have fit
+            assert len(p) + pieces[k + 1].gold_spans[0][1] > limit
+    assert next(word_sizes, None) is None
 
 
 def test_prepare_for_eval_keeps_long_sentences_whole():
