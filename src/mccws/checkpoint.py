@@ -1,11 +1,12 @@
 """Versioned binary checkpoints.
 
 Layout: magic line, 8-byte little-endian header length, a JSON header
-(model config, vocab hash, per-array name/shape/dtype manifest), then the
-raw little-endian array bytes in manifest order. Each array is stored and
-read back in its own dtype, float64 or float32; a model's parameters share
-one. Writing the same state twice produces byte-identical files, which the
-determinism guarantees depend on.
+(format version, model config, vocab hash, per-array name/shape/dtype
+manifest and the caller's extra object), then the raw little-endian array
+bytes in manifest order. Each array is stored and read back in its own
+dtype, float64 or float32; a model's parameters share one. Writing the same
+state twice produces byte-identical files, which the determinism guarantees
+depend on.
 """
 
 import json
@@ -35,8 +36,6 @@ def save_checkpoint(path, model: Model, vocab_sha256: str, extra: dict | None = 
     header = {
         "format_version": VERSION,
         "config": model.config.to_dict(),
-        "n_unigrams": model.n_unigrams,
-        "n_bigrams": model.n_bigrams,
         "vocab_sha256": vocab_sha256,
         "arrays": manifest,
         "extra": extra or {},
@@ -59,7 +58,7 @@ def _check_header(path, header) -> None:
         bad("not an object")
     if header.get("format_version") != VERSION:
         raise DataError(f"{path}: unsupported checkpoint version")
-    for key, kind in (("config", dict), ("vocab_sha256", str), ("arrays", list)):
+    for key, kind in (("config", dict), ("vocab_sha256", str), ("arrays", list), ("extra", dict)):
         if not isinstance(header.get(key), kind):
             bad(f"{key} missing or not a {kind.__name__}")
     for item in header["arrays"]:
@@ -68,10 +67,6 @@ def _check_header(path, header) -> None:
                 and isinstance(item.get("shape"), list)
                 and all(type(n) is int and n >= 0 for n in item["shape"])):
             bad(f"bad array entry {item!r:.80}")
-    opt_names = header.get("optimizer_arrays", [])
-    if not (isinstance(opt_names, list) and all(isinstance(n, str) for n in opt_names)
-            and set(opt_names) <= {item["name"] for item in header["arrays"]}):
-        bad("optimizer_arrays must list arrays of the file")
 
 
 def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -112,14 +107,14 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
-def load_checkpoint(path, vocab) -> tuple[Model, dict[str, np.ndarray], dict]:
+def load_checkpoint(path, vocab) -> tuple[Model, dict, dict]:
     """Load and verify a checkpoint against a vocabulary.
 
     Refuses vocab hash mismatches, any missing/extra/mis-shaped parameter
     and parameters of mixed dtypes. Parameters keep their stored dtype.
-    Returns (model, optimizer arrays, extra header dict). Only
-    older files carry optimizer arrays (AdamW state listed under
-    optimizer_arrays); they are returned as read, never as parameters.
+    Returns (model, {}, extra header dict). The middle value is always
+    empty; it stays only because callers outside the package still unpack
+    three values.
     """
     header, arrays = read_checkpoint(path)
     if header["vocab_sha256"] != vocab.sha256():
@@ -128,20 +123,17 @@ def load_checkpoint(path, vocab) -> tuple[Model, dict[str, np.ndarray], dict]:
             f"(checkpoint {header['vocab_sha256'][:12]}..., given {vocab.sha256()[:12]}...)")
     config = ModelConfig.from_dict(header["config"])
     expected = param_shapes(config, len(vocab.unigrams), len(vocab.bigrams))
-    opt_names = header.get("optimizer_arrays", [])
-    param_arrays = {k: v for k, v in arrays.items() if k not in opt_names}
-    missing = sorted(set(expected) - set(param_arrays))
-    extra_names = sorted(set(param_arrays) - set(expected))
+    missing = sorted(set(expected) - set(arrays))
+    extra_names = sorted(set(arrays) - set(expected))
     if missing or extra_names:
         raise DataError(f"checkpoint parameter names mismatch: missing={missing} extra={extra_names}")
     for name, shape in expected.items():
-        if param_arrays[name].shape != shape:
+        if arrays[name].shape != shape:
             raise DataError(
-                f"checkpoint parameter {name} has shape {param_arrays[name].shape}, expected {shape}")
-    dtypes = sorted({a.dtype.name for a in param_arrays.values()})
+                f"checkpoint parameter {name} has shape {arrays[name].shape}, expected {shape}")
+    dtypes = sorted({a.dtype.name for a in arrays.values()})
     if len(dtypes) > 1:
         raise DataError(f"checkpoint parameters mix dtypes {dtypes}")
-    params = {name: Tensor(param_arrays[name], requires_grad=True) for name in expected}
+    params = {name: Tensor(arrays[name], requires_grad=True) for name in expected}
     model = Model(config, len(vocab.unigrams), len(vocab.bigrams), params=params)
-    opt_arrays = {name: arrays[name] for name in opt_names}
-    return model, opt_arrays, header.get("extra", {})
+    return model, {}, header["extra"]

@@ -19,10 +19,10 @@ from . import corpus as cp
 from . import metrics as mt
 from . import synth as sy
 from . import trainer as tr
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError, MccwsError
 from .model import BATCH_SENTENCES, Model, ModelConfig
 
-EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE = 2, 3, 4
+EXIT_CODES = {ConfigError: 2, DataError: 3, DivergenceError: 4}
 
 
 def parse_pairs(pairs, what: str) -> dict[str, str]:
@@ -199,12 +199,16 @@ def cmd_segment(checkpoint_path, vocab_path, criterion, input_path, output_path)
     vocab = cp.Vocab.load(vocab_path)
     model, _, _ = ckpt.load_checkpoint(checkpoint_path, vocab)
     vocab.criterion_id(criterion)  # an unknown criterion exits 2 even on empty input
+    if output_path:
+        cp.check_writable(output_path)
     with contextlib.ExitStack() as stack:
         try:
             src = stack.enter_context(open(input_path, "rb")) if input_path else sys.stdin.buffer
         except OSError as exc:
             raise DataError(f"cannot read input {input_path}: {exc}") from exc
-        dst = (stack.enter_context(cp.open_output(output_path, "w", encoding="utf-8"))
+        # --output replaces its file only when every line is written, so it
+        # may name the --input file
+        dst = (stack.enter_context(cp.atomic_open(output_path, "w", encoding="utf-8"))
                if output_path else sys.stdout)
         # an undecodable byte reads as a lone surrogate (one <unk> token) and
         # is written back as the same byte
@@ -288,18 +292,12 @@ def main():
         cli(standalone_mode=False)
     except click.ClickException as exc:
         exc.show()
-        sys.exit(EXIT_CONFIG)
+        sys.exit(EXIT_CODES[ConfigError])
     except click.Abort:
-        sys.exit(EXIT_CONFIG)
-    except ConfigError as exc:
+        sys.exit(EXIT_CODES[ConfigError])
+    except MccwsError as exc:
         click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except DataError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DATA)
-    except DivergenceError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DIVERGENCE)
+        sys.exit(EXIT_CODES[type(exc)])
 
 
 if __name__ == "__main__":

@@ -300,6 +300,8 @@ class Vocab:
         for name in names:
             if not _CRITERION_NAME_RE.match(name):
                 raise ConfigError(f"criterion name {name!r} must match [a-z0-9_-]+")
+            if f"<{name}>" in RESERVED:
+                raise ConfigError(f"criterion name {name!r} is taken by the reserved token <{name}>")
         criteria = {name: i for i, name in enumerate(names)}
         unigrams = {tok: i for i, tok in enumerate(RESERVED)}
         for name in names:
@@ -394,7 +396,8 @@ class Vocab:
         """Read what to_text writes. Anything else is a DataError that names
         its line: a table line that is not a new NAME<TAB>ID, a table whose
         ids are not dense from 0, a criterion without its <name> unigram or
-        its lexicon, an unknown or repeated section."""
+        its lexicon, a criterion named after a reserved token, an unknown or
+        repeated section."""
         lines = text.splitlines()
         if not lines or not lines[0].startswith(cls.FORMAT + "\t"):
             raise DataError("line 1: not a vocab file (bad header)")
@@ -445,6 +448,9 @@ class Vocab:
             if name not in tables["criteria"]:
                 raise DataError(f"line {lineno}: lexicon of unknown criterion {name!r}")
         for name, (_, lineno) in tables["criteria"].items():
+            if f"<{name}>" in RESERVED:
+                raise DataError(f"line {lineno}: criterion name {name!r} is taken by the"
+                                f" reserved token <{name}>")
             if f"<{name}>" not in tables["unigrams"] or name not in lexicons:
                 raise DataError(f"line {lineno}: criterion {name!r} needs a <{name}> unigram"
                                 f" and a [lexicon:{name}] section")

@@ -77,11 +77,7 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         """Rebuild a config read from a checkpoint header; anything that is
-        not a valid config is a DataError. Headers written before the label
-        alphabet was fixed carry label_count, which must be 4 (BMES)."""
-        d = dict(d)
-        if d.pop("label_count", len(cp.LABELS)) != len(cp.LABELS):
-            raise DataError(f"label_count must be {len(cp.LABELS)} (BMES)")
+        not a valid config is a DataError."""
         kinds = {f.name: f.type for f in fields(cls)}
         unknown = sorted(set(d) - set(kinds))
         if unknown:

@@ -91,6 +91,16 @@ def test_build_vocab_bad_pair(tmp_path):
             expect=2)
 
 
+def test_build_vocab_refuses_a_reserved_criterion_name(workdir, tmp_path):
+    # <eng> is the token of Latin runs; a criterion named eng used to take
+    # its id and leave a file that train refuses
+    proc = run_cli("build-vocab", "--corpus", f"eng={workdir / 'ctb.txt'}",
+                   "--corpus", f"join={workdir / 'pku.txt'}", "--out", str(tmp_path / "v.txt"),
+                   expect=2)
+    assert proc.stderr == "error: criterion name 'eng' is taken by the reserved token <eng>\n"
+    assert proc.stdout == "" and os.listdir(tmp_path) == []
+
+
 # -- train -------------------------------------------------------------------------
 
 def test_train_epochs_zero_warns(workdir, tmp_path):
@@ -231,6 +241,20 @@ def test_segment_empty_input(trained, tmp_path):
             "--vocab", str(d / "vocab.txt"), "--criterion", "ctb",
             "--input", str(empty), "--output", str(out))
     assert out.read_text() == ""
+
+
+def test_segment_output_may_be_its_input(trained, tmp_path):
+    # the output replaces its file only after the last line is segmented
+    d = trained
+    path = tmp_path / "text.txt"
+    path.write_text("李娜进入半决赛\n半决赛\n", encoding="utf-8")
+    args = ["segment", "--checkpoint", str(d / "model.ckpt"), "--vocab", str(d / "vocab.txt"),
+            "--criterion", "ctb", "--input", str(path)]
+    expected = run_cli(*args).stdout
+    assert expected.startswith("李娜 进入 半决赛\n") and expected.count("\n") == 2
+    run_cli(*args, "--output", str(path))
+    assert path.read_text(encoding="utf-8") == expected
+    assert os.listdir(tmp_path) == ["text.txt"]
 
 
 def test_segment_unknown_criterion_lists_registered(trained):
@@ -617,6 +641,8 @@ CORRUPTIONS = {
     "float_config_int": lambda b: edit_header(b, lambda h: h["config"].update(heads=2.0)),
     "max_len_one": lambda b: edit_header(b, lambda h: h["config"].update(max_len=1)),
     "missing_arrays": lambda b: edit_header(b, lambda h: h.pop("arrays")),
+    "missing_extra": lambda b: edit_header(b, lambda h: h.pop("extra")),
+    "extra_not_object": lambda b: edit_header(b, lambda h: h.update(extra=[])),
     "bad_shape": lambda b: edit_header(b, lambda h: h["arrays"][0].update(shape=[-1])),
     "truncated": lambda b: b[:-8],
     "mixed_dtypes": first_array_retyped,
@@ -646,39 +672,63 @@ def test_segment_corrupt_checkpoint_exits_data(trained, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_legacy_checkpoint_loads(trained, trained_float64, tmp_path):
-    # files written with label_count and AdamW state in their header (float64,
-    # as every such file was)
+# AdamW state as the earliest checkpoint writers stored it, beside the
+# parameters (float64, as every such file was)
+LEGACY_OPTIMIZER = {"adamw.m.tok_emb": np.full((2, 3), 0.5), "adamw.step": np.array([7.0])}
+
+
+def legacy_checkpoint(blob: bytes, label_count: bool, optimizer: bool) -> bytes:
+    """Checkpoint bytes with config.label_count 4 and/or the AdamW arrays
+    listed under optimizer_arrays, as early writers put them."""
+    def edit(header):
+        if label_count:
+            header["config"]["label_count"] = 4
+        if optimizer:
+            header["arrays"] += [{"name": k, "shape": list(v.shape), "dtype": "<f8"}
+                                 for k, v in LEGACY_OPTIMIZER.items()]
+            header["optimizer_arrays"] = list(LEGACY_OPTIMIZER)
+    arrays = b"".join(v.astype("<f8").tobytes() for v in LEGACY_OPTIMIZER.values())
+    return edit_header(blob, edit) + (arrays if optimizer else b"")
+
+
+@pytest.mark.parametrize("label_count,optimizer,message", [
+    (True, False, "unknown model config keys ['label_count']"),
+    (False, True, "extra=['adamw.m.tok_emb', 'adamw.step']"),
+    (True, True, "unknown model config keys ['label_count']"),
+], ids=["label_count", "optimizer_arrays", "both"])
+def test_legacy_checkpoint_is_refused(trained, trained_float64, tmp_path, label_count, optimizer,
+                                      message):
+    d = trained
+    old = tmp_path / "legacy.ckpt"
+    old.write_bytes(legacy_checkpoint(trained_float64.read_bytes(), label_count, optimizer))
+    (tmp_path / "in.txt").write_text("李娜\n", encoding="utf-8")
+    for command, args in (("segment", ["--criterion", "ctb", "--input", str(tmp_path / "in.txt")]),
+                          ("evaluate", ["--gold", f"ctb={d / 'ctb.txt'}"])):
+        proc = run_cli(command, "--checkpoint", str(old), "--vocab", str(d / "vocab.txt"), *args,
+                       expect=3)
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
+def test_checkpoint_with_table_sizes_in_its_header_loads(trained, tmp_path):
+    # files written before the header dropped n_unigrams and n_bigrams, which
+    # the vocabulary and the embedding shapes carry, load and segment as before
     d = trained
     vocab = Vocab.load(d / "vocab.txt")
-    model, _, _ = load_checkpoint(trained_float64, vocab)
-    blob = trained_float64.read_bytes()
-    opt = {"adamw.m.tok_emb": np.full((2, 3), 0.5), "adamw.step": np.array([7.0])}
-
-    def legacy(label_count):
-        def edit(header):
-            header["config"]["label_count"] = label_count
-            header["arrays"] += [{"name": k, "shape": list(v.shape), "dtype": "<f8"}
-                                 for k, v in opt.items()]
-            header["optimizer_arrays"] = list(opt)
-        return edit_header(blob, edit) + b"".join(v.astype("<f8").tobytes() for v in opt.values())
-
-    old = tmp_path / "legacy.ckpt"
-    old.write_bytes(legacy(4))
-    loaded, opt_arrays, _ = load_checkpoint(old, vocab)
-    assert loaded.config == model.config
+    model, _, _ = load_checkpoint(d / "model.ckpt", vocab)
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(edit_header((d / "model.ckpt").read_bytes(), lambda h: h.update(
+        n_unigrams=len(vocab.unigrams), n_bigrams=len(vocab.bigrams))))
+    loaded, _, extra = load_checkpoint(old, vocab)
+    assert loaded.config == model.config and extra == {"epochs": 200, "seed": 0}
     for name, p in model.params.items():
         assert np.array_equal(loaded.params[name].data, p.data), name
-    assert {k: v.tolist() for k, v in opt_arrays.items()} == {k: v.tolist() for k, v in opt.items()}
     (tmp_path / "in.txt").write_text("李娜进入半决赛\n", encoding="utf-8")
     outputs = [run_cli("segment", "--checkpoint", str(path), "--vocab", str(d / "vocab.txt"),
-                       "--criterion", "pku", "--input", str(tmp_path / "in.txt")).stdout
-               for path in (trained_float64, old)]
-    assert outputs[0] == outputs[1] == "李 娜 进入 半 决赛\n"
-
-    (tmp_path / "legacy5.ckpt").write_bytes(legacy(5))
-    with pytest.raises(DataError, match="label_count"):
-        load_checkpoint(tmp_path / "legacy5.ckpt", vocab)
+                       "--criterion", "pku", "--input", str(tmp_path / "in.txt"))
+               for path in (d / "model.ckpt", old)]
+    assert (outputs[0].stdout, outputs[0].stderr) == (outputs[1].stdout, outputs[1].stderr)
+    assert outputs[0].stdout == "李 娜 进入 半 决赛\n"
 
 
 def test_checkpoint_with_an_attention_key_bias_is_refused(trained, trained_float64, tmp_path):
@@ -713,6 +763,7 @@ def test_checkpoint_round_trips_and_runs(trained, tmp_path, capsys, monkeypatch,
     path, again = tmp_path / "model.ckpt", tmp_path / "again.ckpt"
     save_checkpoint(path, model, vocab.sha256())
     header, _ = read_checkpoint(path)
+    assert sorted(header) == ["arrays", "config", "extra", "format_version", "vocab_sha256"]
     assert {item["dtype"] for item in header["arrays"]} == {np.dtype(dtype).str}
     loaded, _, _ = load_checkpoint(path, vocab)
     for name, p in model.params.items():
@@ -756,10 +807,14 @@ def test_new_models_are_float32(trained):
 
 
 class FailMidway:
-    """A write handle that stores half of its first write, then fails."""
+    """A write handle that stores half of its first write, then fails; any
+    other attribute is the wrapped file's."""
 
     def __init__(self, fh):
         self.fh = fh
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
 
     def write(self, data):
         self.fh.write(data[: len(data) // 2])
@@ -772,7 +827,7 @@ class FailMidway:
         self.fh.close()
 
 
-@pytest.mark.parametrize("target", ["checkpoint", "vocab", "report"])
+@pytest.mark.parametrize("target", ["checkpoint", "vocab", "report", "segment"])
 def test_failed_write_keeps_previous_file(trained, tmp_path, monkeypatch, target):
     d = trained
     model, _, _ = load_checkpoint(d / "model.ckpt", Vocab.load(d / "vocab.txt"))
@@ -784,6 +839,10 @@ def test_failed_write_keeps_previous_file(trained, tmp_path, monkeypatch, target
         "report": lambda: cli.cli.main(
             ["evaluate", "--checkpoint", str(d / "model.ckpt"), "--vocab", str(d / "vocab.txt"),
              "--gold", f"ctb={d / 'ctb.txt'}", "--report", str(path)], standalone_mode=False),
+        "segment": lambda: cli.cli.main(
+            ["segment", "--checkpoint", str(d / "model.ckpt"), "--vocab", str(d / "vocab.txt"),
+             "--criterion", "ctb", "--input", str(d / "ctb.txt"), "--output", str(path)],
+            standalone_mode=False),
     }
     real_open = builtins.open
 

@@ -336,6 +336,23 @@ def test_vocab_rejects_bad_criterion_name():
         Vocab.build({"PKU!": [RawSentence(["李"], 0)]})
 
 
+@pytest.mark.parametrize("name", ["pad", "unk", "bos", "eng", "num"])
+def test_vocab_refuses_a_reserved_criterion_name(name):
+    # <eng> and the other reserved tokens have fixed ids; a criterion token
+    # <eng> would share the id of every Latin run
+    with pytest.raises(ConfigError, match=f"criterion name '{name}' is taken by the reserved"
+                                          f" token <{name}>"):
+        Vocab.build({name: [RawSentence(["李"], 0)], "x": [RawSentence(["李"], 1)]})
+
+
+def test_vocab_text_refuses_a_reserved_criterion_name():
+    text = Vocab.build({"x": [RawSentence(["李"], 0)]}).to_text()
+    text = text.replace("\nx\t0\n", "\neng\t0\n").replace("[lexicon:x]", "[lexicon:eng]")
+    with pytest.raises(DataError, match="^line 4: criterion name 'eng' is taken by the reserved"
+                                        " token <eng>$"):
+        Vocab.from_text(text)
+
+
 # -- corpus files --------------------------------------------------------------
 
 def test_load_corpus(tmp_path):
